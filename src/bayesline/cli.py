@@ -75,7 +75,8 @@ def _load_model(path: str | None):
 
 
 def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    # strict JSON: a NaN or infinity raises ValueError (exit 2) instead of being written
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def _cmd_counts(ns) -> int:

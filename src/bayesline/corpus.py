@@ -12,6 +12,7 @@ or apostrophized words split into their parts ("non-linear" -> "non",
 from __future__ import annotations
 
 import io
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -227,7 +228,8 @@ def _read_text(source: str | Path | TextIO) -> str:
 def load_dataset_tsv(source: str | Path | TextIO) -> Dataset:
     """Parse a `label<TAB>x<TAB>y` file into a Dataset, in file order.
 
-    Lines starting with '#' are comments; blank lines are skipped.
+    Lines starting with '#' are comments; blank lines are skipped. Non-numeric
+    and non-finite (nan, inf) values raise a line-numbered DatasetParseError.
     """
     text = _read_text(source)
     points = []
@@ -246,6 +248,10 @@ def load_dataset_tsv(source: str | Path | TextIO) -> Dataset:
             y = float(y_text)
         except ValueError:
             raise DatasetParseError(line_no, f"non-numeric y value {y_text!r}") from None
+        if not math.isfinite(x):
+            raise DatasetParseError(line_no, f"non-finite x value {x_text!r}")
+        if not math.isfinite(y):
+            raise DatasetParseError(line_no, f"non-finite y value {y_text!r}")
         points.append(DataPoint(label, x, y))
     return Dataset(tuple(points))
 

@@ -59,6 +59,11 @@ class ParamVector(NamedTuple):
     sigma: float
 
 
+# From this many points on, log_likelihood computes its terms with numpy;
+# below it the per-call overhead of numpy costs more than the Python loop.
+VECTOR_MIN_POINTS = 48
+
+
 def _safe_exp(v: float) -> float:
     return math.inf if v > _EXP_MAX else math.exp(v)
 
@@ -121,7 +126,9 @@ def log_likelihood(p: ParamVector, data: Dataset) -> float:
     """Sum over observations of log N(y_i | a*x_i + b, sigma).
 
     Accumulated left to right over the data points, so extending the dataset
-    by one point changes the result by exactly that point's term.
+    by one point changes the result by exactly that point's term. From
+    VECTOR_MIN_POINTS points on, the same terms are computed with numpy and
+    folded by ``np.add.accumulate``, which gives bit-identical results.
     """
     if data.size < 1:
         raise ValueError("likelihood requires at least one observation")
@@ -130,6 +137,10 @@ def log_likelihood(p: ParamVector, data: Dataset) -> float:
     a, b, sigma = p
     const = -0.5 * LOG_TWO_PI - math.log(sigma)
     inv_two_var = 1.0 / (2.0 * sigma * sigma)
+    if data.size >= VECTOR_MIN_POINTS:
+        # same per-point operations; add.accumulate is a sequential left fold
+        r = data.y - (a * data.x + b)
+        return float(np.add.accumulate(const - r * r * inv_two_var)[-1])
     total = 0.0
     for point in data.points:
         r = point.y - (a * point.x + b)

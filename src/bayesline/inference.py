@@ -28,6 +28,7 @@ from .modelspec import DistributionSpec, ModelSpec
 from .sampler import Chains
 
 __all__ = [
+    "BayesFactorOverflowError",
     "ConjugateNormalState",
     "DegenerateEvidenceError",
     "DiagnosticError",
@@ -55,6 +56,10 @@ class DiagnosticError(ValueError):
 
 class DegenerateEvidenceError(ValueError):
     """Every prior sample had zero likelihood."""
+
+
+class BayesFactorOverflowError(ValueError):
+    """The Bayes factor is too large to represent as a float."""
 
 
 @dataclass(frozen=True)
@@ -288,6 +293,11 @@ def _sample_prior_matrix(spec: ModelSpec, rng: np.random.Generator, n: int) -> n
     return np.column_stack([a, b, sigma])
 
 
+# Prior draws per block of estimate_evidence's residual buffer hold about
+# this many elements (512 KB), so memory stays O(block + n_samples).
+EVIDENCE_BLOCK_ELEMENTS = 1 << 16
+
+
 def estimate_evidence(
     spec: ModelSpec, data: Dataset, n_prior_samples: int, seed: int
 ) -> EvidenceEstimate:
@@ -297,17 +307,24 @@ def estimate_evidence(
     x = data.x
     y = data.y
     m = data.size
+    rows = max(1, EVIDENCE_BLOCK_ELEMENTS // m)
 
     def log_lik(theta: np.ndarray) -> np.ndarray:
-        a = theta[:, 0:1]
-        b = theta[:, 1:2]
-        sigma = theta[:, 2:3]
-        resid = y[None, :] - (a * x[None, :] + b)
-        return (
-            -0.5 * m * LOG_TWO_PI
-            - m * np.log(sigma[:, 0])
-            - (resid ** 2).sum(axis=1) / (2.0 * sigma[:, 0] ** 2)
-        )
+        n = theta.shape[0]
+        sigma = theta[:, 2]
+        # Σ r² one block of prior draws at a time, in place; each row keeps
+        # the pairwise sum it would get in the full (n, m) residual matrix
+        ss = np.empty(n)
+        buf = np.empty((min(rows, n), m))
+        for start in range(0, n, rows):
+            stop = min(start + rows, n)
+            r = buf[: stop - start]
+            np.multiply(theta[start:stop, 0:1], x, out=r)
+            np.add(r, theta[start:stop, 1:2], out=r)
+            np.subtract(y, r, out=r)
+            np.square(r, out=r)
+            r.sum(axis=1, out=ss[start:stop])
+        return -0.5 * m * LOG_TWO_PI - m * np.log(sigma) - ss / (2.0 * sigma ** 2)
 
     return evidence_mc(
         log_lik, lambda rng, n: _sample_prior_matrix(spec, rng, n), n_prior_samples, seed
@@ -315,10 +332,21 @@ def estimate_evidence(
 
 
 def bayes_factor(e1: EvidenceEstimate, e2: EvidenceEstimate) -> float:
-    """Ratio of marginal likelihoods exp(log p1(Y) - log p2(Y))."""
+    """Ratio of marginal likelihoods exp(log p1(Y) - log p2(Y)).
+
+    Raises BayesFactorOverflowError when the ratio exceeds the float range;
+    a ratio below it underflows to 0.0.
+    """
     if not (math.isfinite(e1.log_evidence) and math.isfinite(e2.log_evidence)):
         raise ValueError("evidence estimates must be finite")
-    return math.exp(e1.log_evidence - e2.log_evidence)
+    log_ratio = e1.log_evidence - e2.log_evidence
+    try:
+        return math.exp(log_ratio)
+    except OverflowError:
+        raise BayesFactorOverflowError(
+            f"Bayes factor exp({log_ratio!r}) overflows a float: log evidences "
+            f"{e1.log_evidence!r} and {e2.log_evidence!r}"
+        ) from None
 
 
 # ---------------------------------------------------------------------------

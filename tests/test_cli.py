@@ -5,7 +5,8 @@ import pytest
 
 from bayesline.cli import run
 from bayesline.corpus import load_dataset_tsv
-from bayesline.modelspec import default_model, format_model_spec
+from bayesline.inference import estimate_evidence
+from bayesline.modelspec import default_model, format_model_spec, parse_model_spec
 from bayesline.ols import ols_fit
 
 FAST_BAYES = ["--chains", "2", "--draws", "200", "--warmup", "150", "--seed", "1"]
@@ -129,6 +130,47 @@ def test_evidence_json(dataset_tsv, model_file, tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert len(payload["models"]) == 2
     assert payload["bayes_factor"] > 0
+
+
+def test_evidence_bayes_factor_overflow_exits_2(tmp_path, capsys):
+    # y = 5x + 1: a slope prior around 5 fits, one around 0 misses by ~1e6 nats
+    data = tmp_path / "line.tsv"
+    data.write_text("".join(f"w{x}\t{x}\t{5 * x + 1}\n" for x in range(100, 1001, 100)))
+    models = []
+    for name, loc in (("near", 5), ("far", 0)):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(
+            f"param a ~ Normal({loc}, 0.001)\nparam b ~ HalfNormal(1)\n"
+            "param sigma ~ HalfNormal(1)\nlikelihood Y ~ Normal(a * X + b, sigma)\n"
+        )
+        models.append(path)
+    argv = ["evidence", str(data), "--model", str(models[0]), "--model", str(models[1]), "--samples", "100"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    dataset = load_dataset_tsv(data)
+    for path in models:
+        spec = parse_model_spec(path.read_text())
+        log_evidence = estimate_evidence(spec, dataset, 100, 0).log_evidence
+        assert repr(log_evidence) in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["fit-ols", "fit-bayes"])
+@pytest.mark.parametrize("bad", ["bad\tnan\t7", "bad\t132\tinf", "bad\t-inf\t7"])
+def test_non_finite_counts_exit_2_with_line_number(command, bad, tmp_path, capsys):
+    data = tmp_path / "bad.tsv"
+    data.write_text(f"machine\t132\t7\n{bad}\n")
+    out = tmp_path / "out"
+    assert run([command, str(data), "--out", str(out)]) == 2
+    assert "line 2" in capsys.readouterr().err
+    assert not (out / "ols.json").exists() and not (out / "samples.csv").exists()
+
+
+def test_update_nan_observation_exits_2_without_nan(capsys):
+    code = run(["update", "--prior-mean", "0", "--prior-var", "1", "--obs-sd", "1", "nan"])
+    assert code == 2
+    assert "NaN" not in capsys.readouterr().out
 
 
 def test_evidence_requires_two_models(dataset_tsv, model_file):

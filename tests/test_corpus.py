@@ -138,6 +138,13 @@ def test_load_tsv_non_numeric():
     assert "y value" in str(err.value)
 
 
+@pytest.mark.parametrize("line", ["bad\tnan\t7", "bad\tinf\t7", "bad\t7\t-inf", "bad\t7\tNaN"])
+def test_load_tsv_non_finite(line):
+    with pytest.raises(DatasetParseError, match="non-finite") as err:
+        load_dataset_tsv(io.StringIO(f"machine\t132\t7\n{line}"))
+    assert err.value.line_no == 2
+
+
 def test_default_stopwords_lowercase_common_words():
     sw = default_stopwords()
     assert "the" in sw and "and" in sw

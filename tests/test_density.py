@@ -8,6 +8,8 @@ from scipy.integrate import quad
 
 from bayesline.corpus import DataPoint, Dataset
 from bayesline.density import (
+    LOG_TWO_PI,
+    VECTOR_MIN_POINTS,
     ParamVector,
     grad_log_posterior_unconstrained,
     inverse_transform,
@@ -125,6 +127,52 @@ def test_appending_a_point_changes_likelihood_by_its_term(words3):
     bigger = Dataset(words3.points + (extra,))
     p = ParamVector(0.01, 2.0, 1.5)
     assert log_likelihood(p, bigger) == log_likelihood(p, words3) + _point_term(extra, p)
+
+
+def _loop_log_likelihood(p, data):
+    """The per-point left fold that log_likelihood must reproduce bit for bit."""
+    a, b, sigma = p
+    const = -0.5 * LOG_TWO_PI - math.log(sigma)
+    inv_two_var = 1.0 / (2.0 * sigma * sigma)
+    total = 0.0
+    for point in data.points:
+        r = point.y - (a * point.x + b)
+        total += const - r * r * inv_two_var
+    return total
+
+
+def _word_like_dataset(rng, m):
+    """m points with x from 1e0 to 1e7 and y a fraction of x, as counts give."""
+    x = 10.0 ** rng.uniform(0, 7, m)
+    y = np.floor(x * 10.0 ** rng.uniform(-3, 0, m))
+    return Dataset(tuple(DataPoint(f"w{i}", float(xi), float(yi)) for i, (xi, yi) in enumerate(zip(x, y))))
+
+
+def _random_state(rng):
+    return ParamVector(
+        float(rng.normal() * 10.0 ** rng.uniform(-4, 1)),
+        float(abs(rng.normal()) * 10.0 ** rng.uniform(-2, 4)),
+        float(10.0 ** rng.uniform(-3, 6)),
+    )
+
+
+@pytest.mark.parametrize("m", [1, 3, VECTOR_MIN_POINTS - 1, VECTOR_MIN_POINTS, 1000])
+def test_likelihood_equals_per_point_fold_exactly(m):
+    rng = np.random.default_rng(m)
+    data = _word_like_dataset(rng, m)
+    for _ in range(300):
+        p = _random_state(rng)
+        assert log_likelihood(p, data) == _loop_log_likelihood(p, data)
+
+
+def test_appending_a_point_is_exact_across_vector_threshold():
+    rng = np.random.default_rng(11)
+    full = _word_like_dataset(rng, VECTOR_MIN_POINTS)
+    head = Dataset(full.points[:-1])
+    for _ in range(300):
+        p = _random_state(rng)
+        term = log_likelihood(p, Dataset(full.points[-1:]))
+        assert log_likelihood(p, full) == log_likelihood(p, head) + term
 
 
 def test_doubling_dataset_doubles_likelihood(words3):

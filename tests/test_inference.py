@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bayesline import inference
+from bayesline.corpus import DataPoint, Dataset
+from bayesline.density import LOG_TWO_PI
 from bayesline.inference import (
+    BayesFactorOverflowError,
     ConjugateNormalState,
     DegenerateEvidenceError,
     DiagnosticError,
@@ -231,6 +235,58 @@ def test_model_evidence_prefers_matching_model(words3, model):
     estimate = estimate_evidence(model, words3, 50_000, seed=1)
     assert math.isfinite(estimate.log_evidence)
     assert estimate.n_prior_samples == 50_000
+
+
+def _full_matrix_log_lik(theta, x, y):
+    """The (n_samples x M) residual-matrix expression estimate_evidence must match."""
+    m = x.size
+    a = theta[:, 0:1]
+    b = theta[:, 1:2]
+    sigma = theta[:, 2:3]
+    resid = y[None, :] - (a * x[None, :] + b)
+    return (
+        -0.5 * m * LOG_TWO_PI
+        - m * np.log(sigma[:, 0])
+        - (resid ** 2).sum(axis=1) / (2.0 * sigma[:, 0] ** 2)
+    )
+
+
+@pytest.mark.parametrize("m, n_samples", [(1, 70_001), (3, 50_000), (1000, 1_000), (70_000, 101)])
+def test_evidence_blocks_match_full_matrix_exactly(m, n_samples, model, monkeypatch):
+    rng = np.random.default_rng(m)
+    x = 10.0 ** rng.uniform(0, 7, m)
+    y = np.floor(x * 10.0 ** rng.uniform(-3, 0, m))
+    data = Dataset(tuple(DataPoint(f"w{i}", float(xi), float(yi)) for i, (xi, yi) in enumerate(zip(x, y))))
+    rows = max(1, inference.EVIDENCE_BLOCK_ELEMENTS // m)
+    # several blocks, the last one short (one-row blocks at m=70000)
+    assert n_samples > rows and (rows == 1 or n_samples % rows)
+    seen = {}
+
+    def spy(log_lik, sample_prior, n, seed):
+        seen["theta"] = sample_prior(np.random.default_rng(seed), n)
+        seen["log_lik"] = log_lik(seen["theta"])
+        return evidence_mc(log_lik, sample_prior, n, seed)
+
+    monkeypatch.setattr(inference, "evidence_mc", spy)
+    estimate = estimate_evidence(model, data, n_samples, seed=5)
+    reference = _full_matrix_log_lik(seen["theta"], data.x, data.y)
+    assert seen["log_lik"].tobytes() == reference.tobytes()
+    expected = evidence_mc(
+        lambda theta: _full_matrix_log_lik(theta, data.x, data.y),
+        lambda g, n: inference._sample_prior_matrix(model, g, n),
+        n_samples,
+        seed=5,
+    )
+    assert estimate == expected
+
+
+def test_bayes_factor_overflow_is_a_value_error():
+    big = EvidenceEstimate(-10.0, 0.1, 100)
+    tiny = EvidenceEstimate(-1000.0, 0.1, 100)
+    with pytest.raises(BayesFactorOverflowError, match="990.0"):
+        bayes_factor(big, tiny)
+    assert issubclass(BayesFactorOverflowError, ValueError)
+    assert bayes_factor(tiny, big) == 0.0
 
 
 def test_bayes_factor_identities():
