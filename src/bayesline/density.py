@@ -24,7 +24,7 @@ changes the likelihood by exactly that point's term.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -94,7 +94,7 @@ def transform(p: ParamVector) -> np.ndarray:
     return np.array([p.a, math.log(p.b), math.log(p.sigma)], dtype=float)
 
 
-def inverse_transform(z: np.ndarray) -> ParamVector:
+def inverse_transform(z: Sequence[float]) -> ParamVector:
     """Map unconstrained z back to (a, exp(z_b), exp(z_sigma))."""
     return ParamVector(float(z[0]), _safe_exp(float(z[1])), _safe_exp(float(z[2])))
 
@@ -148,7 +148,7 @@ def log_likelihood(p: ParamVector, data: Dataset) -> float:
     return total
 
 
-def log_posterior_unconstrained(z: np.ndarray, spec: ModelSpec, data: Dataset) -> float:
+def log_posterior_unconstrained(z: Sequence[float], spec: ModelSpec, data: Dataset) -> float:
     """Unnormalized log posterior in z, including the log-Jacobian z_b + z_sigma.
 
     The marginal data density is a constant in z and is omitted. Returns
@@ -157,7 +157,13 @@ def log_posterior_unconstrained(z: np.ndarray, spec: ModelSpec, data: Dataset) -
     if data.size < 1:
         raise ValueError("posterior requires at least one observation")
     p = inverse_transform(z)
-    if not (math.isfinite(p.b) and math.isfinite(p.sigma)) or p.sigma == 0.0 or p.b == 0.0:
+    # a variance that underflows to 0 (sigma below about 1e-162) is as
+    # impossible as sigma == 0: the likelihood would divide by it
+    if (
+        not (math.isfinite(p.b) and math.isfinite(p.sigma))
+        or 2.0 * p.sigma * p.sigma == 0.0
+        or p.b == 0.0
+    ):
         return -math.inf
     lp = log_prior(p, spec)
     if lp == -math.inf:
@@ -166,7 +172,7 @@ def log_posterior_unconstrained(z: np.ndarray, spec: ModelSpec, data: Dataset) -
 
 
 def grad_log_posterior_unconstrained(
-    z: np.ndarray, spec: ModelSpec, data: Dataset
+    z: Sequence[float], spec: ModelSpec, data: Dataset
 ) -> np.ndarray:
     """Analytic gradient of log_posterior_unconstrained w.r.t. (z_a, z_b, z_sigma).
 
@@ -174,16 +180,21 @@ def grad_log_posterior_unconstrained(
     and sigma = exp(z_sigma); each log transform contributes +1 from its
     Jacobian term.
     """
-    if data.size < 1:
+    m = data.size
+    if m < 1:
         raise ValueError("posterior requires at least one observation")
-    a, b, sigma = inverse_transform(z)
+    # inverse_transform inlined: this runs once per leapfrog step
+    a = float(z[0])
+    z_b = float(z[1])
+    z_sigma = float(z[2])
+    b = math.inf if z_b > _EXP_MAX else math.exp(z_b)
+    sigma = math.inf if z_sigma > _EXP_MAX else math.exp(z_sigma)
     s2 = sigma * sigma
     # extreme states (overflowed/underflowed transforms) yield non-finite
     # entries rather than raising; integrators treat those as rejections
     if not (math.isfinite(b) and math.isfinite(s2)) or s2 == 0.0:
         return np.full(3, math.nan)
     sx, sy, sxx, sxy, syy = data.moments
-    m = data.size
     r_sum = sy - a * sx - b * m  # Σ r_i with r_i = y_i - (a x_i + b)
     rx_sum = sxy - a * sxx - b * sx
     rr_sum = syy + a * (a * sxx - 2.0 * sxy) + b * (b * m - 2.0 * sy) + 2.0 * a * b * sx

@@ -353,14 +353,22 @@ def bayes_factor(e1: EvidenceEstimate, e2: EvidenceEstimate) -> float:
 # exact conjugate updating (Normal mean, known noise)
 
 
+def _obs_variance(obs_sd: float) -> float:
+    if not obs_sd > 0:
+        raise ValueError(f"obs_sd must be positive, got {obs_sd}")
+    obs_var = obs_sd * obs_sd
+    if obs_var == 0.0:
+        raise ValueError(f"obs_sd {obs_sd!r} is too small: its square underflows to 0")
+    return obs_var
+
+
 def conjugate_update(
     prior: ConjugateNormalState, y: float, obs_sd: float
 ) -> ConjugateNormalState:
     """Precision-weighted Normal-Normal update for one observation."""
-    if not obs_sd > 0:
-        raise ValueError(f"obs_sd must be positive, got {obs_sd}")
+    obs_var = _obs_variance(obs_sd)
     prior_precision = 1.0 / prior.variance
-    obs_precision = 1.0 / (obs_sd * obs_sd)
+    obs_precision = 1.0 / obs_var
     precision = prior_precision + obs_precision
     mean = (prior.mean * prior_precision + y * obs_precision) / precision
     return ConjugateNormalState(mean=mean, variance=1.0 / precision)
@@ -380,11 +388,10 @@ def conjugate_posterior(
     prior: ConjugateNormalState, ys: Iterable[float], obs_sd: float
 ) -> ConjugateNormalState:
     """Batch closed form from sufficient statistics; equals the sequential fold."""
-    if not obs_sd > 0:
-        raise ValueError(f"obs_sd must be positive, got {obs_sd}")
+    obs_var = _obs_variance(obs_sd)
     ys = list(ys)
     prior_precision = 1.0 / prior.variance
-    obs_precision = len(ys) / (obs_sd * obs_sd)
+    obs_precision = len(ys) / obs_var
     precision = prior_precision + obs_precision
-    mean = (prior.mean * prior_precision + math.fsum(ys) / (obs_sd * obs_sd)) / precision
+    mean = (prior.mean * prior_precision + math.fsum(ys) / obs_var) / precision
     return ConjugateNormalState(mean=mean, variance=1.0 / precision)

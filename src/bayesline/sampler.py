@@ -2,10 +2,11 @@
 
 Chains are fully independent: chain ``k`` owns a numpy generator seeded with
 ``seed XOR k``, so every draw is determined by (seed, config, data, model)
-alone and is identical whether chains run serially or in a thread pool.
-A corollary: seeds that differ only in bits below ``n_chains`` permute the
-same chain streams, so independent replications should use seeds spaced at
-least ``n_chains`` apart.
+alone, and chain ``k`` of ``seed`` equals the single chain of ``seed ^ k``.
+Chains run one after another in the calling thread. A corollary: seeds that
+differ only in bits below ``n_chains`` permute the same chain streams, so
+independent replications should use seeds spaced at least ``n_chains``
+apart.
 
 ``sample_rwm`` and ``sample_hmc`` target the regression posterior in the
 unconstrained coordinates z = (a, log b, log sigma) and store draws on the
@@ -13,6 +14,15 @@ constrained scale. The underlying kernels ``rwm_chains`` and ``hmc_chains``
 accept an arbitrary log density (plus gradient, for HMC) so that low
 dimensional targets with known answers, such as the conjugate Normal-mean
 posterior, can exercise the exact same machinery.
+
+The per-iteration loop holds the state and the momentum as plain Python
+float lists: at three dimensions numpy's per-call overhead costs more than
+the arithmetic. Every element sees the same IEEE operations in the same
+order as the elementwise array expressions would apply, so the draws are
+bit-identical to an ndarray implementation. ``log_prob`` and
+``grad_log_prob`` therefore receive ``z`` as a list of floats; the
+integrator updates that list in place once the gradient has returned, so a
+callable must not keep a reference to it.
 
 HMC uses a leapfrog integrator with a fixed step count; the step size is
 adapted during warmup by the dual-averaging scheme of Hoffman & Gelman
@@ -24,7 +34,6 @@ tallied as a divergence.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -48,8 +57,8 @@ MAX_INIT_RETRIES = 100
 DIVERGENCE_DELTA = 1000.0
 DIVERGENCE_WARN_FRACTION = 0.10
 
-LogProb = Callable[[np.ndarray], float]
-GradLogProb = Callable[[np.ndarray], np.ndarray]
+LogProb = Callable[[Sequence[float]], float]
+GradLogProb = Callable[[Sequence[float]], np.ndarray]
 
 
 class InitializationError(RuntimeError):
@@ -129,9 +138,9 @@ def _stream_id(seed: int, chain: int) -> int:
     return (seed ^ chain) & 0xFFFFFFFFFFFFFFFF
 
 
-def _find_start(log_prob: LogProb, init: Callable, rng) -> tuple[np.ndarray, float]:
+def _find_start(log_prob: LogProb, init: Callable, rng) -> tuple[list[float], float]:
     for _ in range(MAX_INIT_RETRIES):
-        z = np.asarray(init(rng), dtype=float)
+        z = np.asarray(init(rng), dtype=float).tolist()
         lp = log_prob(z)
         if math.isfinite(lp):
             return z, lp
@@ -148,10 +157,12 @@ def _rwm_chain(log_prob, cfg: SamplerConfig, dim, init, constrain, stream):
     rng = np.random.default_rng(stream)
     z, lp = _find_start(log_prob, init, rng)
     out = np.empty((cfg.n_draws, dim))
+    step = cfg.rwm_step
     accepted = 0
     total = cfg.n_warmup + cfg.n_draws
     for it in range(total):
-        prop = z + cfg.rwm_step * rng.standard_normal(dim)
+        noise = rng.standard_normal(dim).tolist()
+        prop = [zi + step * ni for zi, ni in zip(z, noise)]
         lp_prop = _finite(log_prob(prop))
         took = False
         if lp_prop > -math.inf:
@@ -199,25 +210,36 @@ class _DualAveraging:
         return math.exp(self.log_eps_bar)
 
 
-def _all_finite(v) -> bool:
-    for x in v:
-        if not math.isfinite(x):
-            return False
-    return True
-
-
 def _leapfrog(z, p, eps, n_steps, grad):
-    g = grad(z)
-    if not _all_finite(g):
-        return None
-    p = p + 0.5 * eps * g
-    for step in range(n_steps):
-        z = z + eps * p
-        g = grad(z)
-        if not _all_finite(g):
+    """``n_steps`` leapfrog steps on float lists; None if a gradient is not finite.
+
+    Each momentum update and the position update after it share one pass
+    over the coordinates; per coordinate the operations are the textbook
+    ``p_i + h * g_i`` then ``z_i + eps * p_i``, with h = 0.5 * eps for the
+    first and last half steps.
+    """
+    isfinite = math.isfinite
+    half = 0.5 * eps
+    z = list(z)
+    p = list(p)
+    coords = range(len(z))
+    h = half
+    for _ in range(n_steps):
+        g = grad(z).tolist()
+        for i in coords:
+            gi = g[i]
+            if not isfinite(gi):
+                return None
+            pi = p[i] + h * gi
+            p[i] = pi
+            z[i] = z[i] + eps * pi
+        h = eps
+    g = grad(z).tolist()
+    for i in coords:
+        gi = g[i]
+        if not isfinite(gi):
             return None
-        # full momentum step between position updates, half step at the end
-        p = p + (eps if step < n_steps - 1 else 0.5 * eps) * g
+        p[i] = p[i] + half * gi
     return z, p
 
 
@@ -225,8 +247,7 @@ def _kinetic(p) -> float:
     # plain-float accumulation: overflow becomes inf instead of a warning
     total = 0.0
     for v in p:
-        fv = float(v)
-        total += fv * fv
+        total += v * v
     return 0.5 * total
 
 
@@ -241,7 +262,7 @@ def _hmc_chain(log_prob, grad, cfg: SamplerConfig, dim, init, constrain, stream)
     divergences = 0
     total = cfg.n_warmup + cfg.n_draws
     for it in range(total):
-        p0 = rng.standard_normal(dim)
+        p0 = rng.standard_normal(dim).tolist()
         # +-10% step jitter breaks the phase resonance a fixed trajectory
         # length has on near-Gaussian targets
         eps_it = eps * (0.9 + 0.2 * rng.random())
@@ -275,20 +296,16 @@ def _hmc_chain(log_prob, grad, cfg: SamplerConfig, dim, init, constrain, stream)
     return out, accepted / cfg.n_draws, divergences
 
 
-def _run(chain_fn, cfg: SamplerConfig, dim, param_names, workers) -> Chains:
+def _run(chain_fn, cfg: SamplerConfig, dim, param_names) -> Chains:
     streams = [_stream_id(cfg.seed, k) for k in range(cfg.n_chains)]
 
     def one_chain(stream):
-        # errstate is thread-local: silence per chain, not around the pool.
-        # Array overflow inside a trajectory is a rejection, not worth a warning.
+        # overflow inside a trajectory (for instance in a gradient computed
+        # with numpy) is a rejection, not worth a warning
         with np.errstate(over="ignore", invalid="ignore"):
             return chain_fn(stream)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_chain, streams))
-    else:
-        results = [one_chain(s) for s in streams]
+    results = [one_chain(s) for s in streams]
     draws = np.stack([r[0] for r in results])
     draws.setflags(write=False)  # Chains is an immutable result
     rates = tuple(r[1] for r in results)
@@ -312,8 +329,7 @@ def rwm_chains(
     dim: int,
     init: Callable,
     param_names: Sequence[str],
-    constrain: Callable[[np.ndarray], np.ndarray] | None = None,
-    workers: int = 1,
+    constrain: Callable[[Sequence[float]], np.ndarray] | None = None,
 ) -> Chains:
     """Random-walk Metropolis on an arbitrary log density.
 
@@ -328,7 +344,6 @@ def rwm_chains(
         cfg,
         dim,
         param_names,
-        workers,
     )
 
 
@@ -340,8 +355,7 @@ def hmc_chains(
     dim: int,
     init: Callable,
     param_names: Sequence[str],
-    constrain: Callable[[np.ndarray], np.ndarray] | None = None,
-    workers: int = 1,
+    constrain: Callable[[Sequence[float]], np.ndarray] | None = None,
 ) -> Chains:
     """Hamiltonian Monte Carlo on an arbitrary differentiable log density."""
     constrain = constrain if constrain is not None else lambda z: z
@@ -351,7 +365,6 @@ def hmc_chains(
         cfg,
         dim,
         param_names,
-        workers,
     )
 
 
@@ -380,13 +393,11 @@ def _prior_init(spec: ModelSpec):
 _PARAM_NAMES = ("a", "b", "sigma")
 
 
-def _constrain(z: np.ndarray) -> np.ndarray:
+def _constrain(z: Sequence[float]) -> np.ndarray:
     return np.asarray(density.inverse_transform(z), dtype=float)
 
 
-def sample_rwm(
-    spec: ModelSpec, data: Dataset, cfg: SamplerConfig, workers: int = 1
-) -> Chains:
+def sample_rwm(spec: ModelSpec, data: Dataset, cfg: SamplerConfig) -> Chains:
     """Sample the regression posterior by random-walk Metropolis."""
     return rwm_chains(
         lambda z: density.log_posterior_unconstrained(z, spec, data),
@@ -395,13 +406,10 @@ def sample_rwm(
         init=_prior_init(spec),
         param_names=_PARAM_NAMES,
         constrain=_constrain,
-        workers=workers,
     )
 
 
-def sample_hmc(
-    spec: ModelSpec, data: Dataset, cfg: SamplerConfig, workers: int = 1
-) -> Chains:
+def sample_hmc(spec: ModelSpec, data: Dataset, cfg: SamplerConfig) -> Chains:
     """Sample the regression posterior by Hamiltonian Monte Carlo."""
     return hmc_chains(
         lambda z: density.log_posterior_unconstrained(z, spec, data),
@@ -411,5 +419,4 @@ def sample_hmc(
         init=_prior_init(spec),
         param_names=_PARAM_NAMES,
         constrain=_constrain,
-        workers=workers,
     )

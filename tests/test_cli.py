@@ -173,6 +173,23 @@ def test_update_nan_observation_exits_2_without_nan(capsys):
     assert "NaN" not in capsys.readouterr().out
 
 
+def test_update_underflowing_obs_sd_exits_2(capsys):
+    argv = ["update", "--prior-mean", "1e308", "--prior-var", "1e-300", "--obs-sd", "1e-300", "1e308"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "obs_sd" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_rwm_step_reaching_underflowing_sigma_still_samples(dataset_tsv, tmp_path):
+    out = tmp_path / "out"
+    argv = ["fit-bayes", str(dataset_tsv), "--sampler", "rwm", "--rwm-step", "400",
+            "--chains", "1", "--draws", "200", "--warmup", "0", "--ensemble", "10", "--out", str(out)]
+    assert run(argv) == 0
+    assert (out / "samples.csv").exists()
+
+
 def test_evidence_requires_two_models(dataset_tsv, model_file):
     assert run(["evidence", str(dataset_tsv), "--model", str(model_file)]) == 1
 

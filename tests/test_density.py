@@ -256,3 +256,9 @@ def test_posterior_handles_extreme_unconstrained_points(model, words3):
     for z in ([0.0, 800.0, 0.0], [0.0, 0.0, -800.0], [0.0, -800.0, 800.0]):
         value = log_posterior_unconstrained(np.array(z), model, words3)
         assert value == -math.inf
+
+
+def test_posterior_is_minus_inf_where_the_variance_underflows(model, words3):
+    # sigma = exp(-400) is positive, but 2 * sigma**2 underflows to 0
+    for z in ([0.0, 0.0, -400.0], np.array([0.0, 0.0, -400.0])):
+        assert log_posterior_unconstrained(z, model, words3) == -math.inf

@@ -327,6 +327,14 @@ def test_conjugate_update_rejects_bad_sd():
         conjugate_update(ConjugateNormalState(0, 1), 1.0, 0.0)
 
 
+def test_conjugate_rejects_obs_sd_whose_square_underflows():
+    prior = ConjugateNormalState(0.0, 1.0)
+    with pytest.raises(ValueError, match="obs_sd"):
+        conjugate_update(prior, 1.0, 1e-300)
+    with pytest.raises(ValueError, match="obs_sd"):
+        conjugate_posterior(prior, [1.0], 1e-300)
+
+
 def test_sequential_empty_is_identity():
     prior = ConjugateNormalState(0.4, 1.7)
     assert sequential_update(prior, [], 1.0) == prior

@@ -1,8 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from bayesline import density, sampler
+from bayesline.corpus import DataPoint, Dataset
 from bayesline.inference import ConjugateNormalState, ess, sequential_update
 from bayesline.sampler import (
     InitializationError,
@@ -55,11 +58,15 @@ def test_fixed_seed_is_bit_identical(words3, model):
     assert np.array_equal(third.draws, fourth.draws)
 
 
-def test_parallel_equals_serial(words3, model):
-    serial = sample_hmc(model, words3, SMALL, workers=1)
-    parallel = sample_hmc(model, words3, SMALL, workers=4)
-    assert np.array_equal(serial.draws, parallel.draws)
-    assert serial.accept_rates == parallel.accept_rates
+@pytest.mark.parametrize("sample", [sample_hmc, sample_rwm], ids=["hmc", "rwm"])
+def test_chain_k_equals_single_chain_of_seed_xor_k(words3, model, sample):
+    cfg = SamplerConfig(n_chains=4, n_draws=200, n_warmup=100, seed=5)
+    chains = sample(model, words3, cfg)
+    for k in range(cfg.n_chains):
+        alone = sample(model, words3, replace(cfg, n_chains=1, seed=5 ^ k))
+        assert np.array_equal(chains.draws[k], alone.draws[0])
+        assert chains.accept_rates[k] == alone.accept_rates[0]
+        assert chains.divergences[k] == alone.divergences[0]
 
 
 def test_draws_respect_constraints(words3, model):
@@ -172,3 +179,220 @@ def test_hmc_means_match_quadrature_oracle(words3, chains16k):
         pooled = chains16k.pooled(name)
         mcse = pooled.std(ddof=1) / math.sqrt(ess(chains16k, name))
         assert abs(float(pooled.mean()) - target) < 3 * mcse, name
+
+
+# ---------------------------------------------------------------------------
+# The ndarray kernels the plain-float hot loop replaced, kept verbatim as the
+# reference that every draw, acceptance rate and divergence count must match.
+
+
+def _ref_find_start(log_prob, init, rng):
+    for _ in range(sampler.MAX_INIT_RETRIES):
+        z = np.asarray(init(rng), dtype=float)
+        lp = log_prob(z)
+        if math.isfinite(lp):
+            return z, lp
+    raise InitializationError("no start")
+
+
+def _ref_rwm_chain(log_prob, cfg, dim, init, constrain, stream):
+    rng = np.random.default_rng(stream)
+    z, lp = _ref_find_start(log_prob, init, rng)
+    out = np.empty((cfg.n_draws, dim))
+    accepted = 0
+    total = cfg.n_warmup + cfg.n_draws
+    for it in range(total):
+        prop = z + cfg.rwm_step * rng.standard_normal(dim)
+        lp_prop = sampler._finite(log_prob(prop))
+        took = False
+        if lp_prop > -math.inf:
+            u = rng.random()
+            log_u = math.log(u) if u > 0.0 else -math.inf
+            if log_u < lp_prop - lp:
+                z, lp = prop, lp_prop
+                took = True
+        if it >= cfg.n_warmup:
+            out[it - cfg.n_warmup] = constrain(z)
+            accepted += took
+    return out, accepted / cfg.n_draws, 0
+
+
+def _ref_all_finite(v):
+    for x in v:
+        if not math.isfinite(x):
+            return False
+    return True
+
+
+def _ref_leapfrog(z, p, eps, n_steps, grad):
+    g = grad(z)
+    if not _ref_all_finite(g):
+        return None
+    p = p + 0.5 * eps * g
+    for step in range(n_steps):
+        z = z + eps * p
+        g = grad(z)
+        if not _ref_all_finite(g):
+            return None
+        # full momentum step between position updates, half step at the end
+        p = p + (eps if step < n_steps - 1 else 0.5 * eps) * g
+    return z, p
+
+
+def _ref_kinetic(p):
+    total = 0.0
+    for v in p:
+        fv = float(v)
+        total += fv * fv
+    return 0.5 * total
+
+
+def _ref_hmc_chain(log_prob, grad, cfg, dim, init, constrain, stream):
+    rng = np.random.default_rng(stream)
+    z, lp = _ref_find_start(log_prob, init, rng)
+    eps = cfg.hmc_step
+    adapt = sampler._DualAveraging(eps, cfg.target_accept)
+    restart_at = cfg.n_warmup // 2
+    out = np.empty((cfg.n_draws, dim))
+    accepted = 0
+    divergences = 0
+    total = cfg.n_warmup + cfg.n_draws
+    for it in range(total):
+        p0 = rng.standard_normal(dim)
+        eps_it = eps * (0.9 + 0.2 * rng.random())
+        h0 = -lp + _ref_kinetic(p0)
+        result = _ref_leapfrog(z, p0, eps_it, cfg.hmc_leapfrog, grad)
+        if result is None:
+            delta = math.inf
+        else:
+            z_new, p_new = result
+            lp_new = sampler._finite(log_prob(z_new))
+            delta = (-lp_new + _ref_kinetic(p_new)) - h0
+        diverged = not math.isfinite(delta) or abs(delta) > sampler.DIVERGENCE_DELTA
+        alpha = 0.0 if diverged else min(1.0, math.exp(min(-delta, 0.0)))
+        took = False
+        if not diverged:
+            u = rng.random()
+            log_u = math.log(u) if u > 0.0 else -math.inf
+            if log_u < -delta:
+                z, lp = z_new, lp_new
+                took = True
+        if it < cfg.n_warmup:
+            if it == restart_at and it > 0:
+                adapt = sampler._DualAveraging(eps, cfg.target_accept)
+            eps = adapt.update(alpha)
+            if it == cfg.n_warmup - 1:
+                eps = adapt.frozen()
+        else:
+            out[it - cfg.n_warmup] = constrain(z)
+            accepted += took
+            divergences += diverged
+    return out, accepted / cfg.n_draws, divergences
+
+
+def _regression_target(spec, data):
+    return (
+        lambda z: density.log_posterior_unconstrained(z, spec, data),
+        lambda z: density.grad_log_posterior_unconstrained(z, spec, data),
+        3,
+        sampler._prior_init(spec),
+        sampler._constrain,
+    )
+
+
+def _counts_like_dataset(m=64):
+    """m deterministic Zipf-like points: x = 1e6 / rank, y saturating at 2000."""
+    points = []
+    for rank in range(1, m + 1):
+        x = float(round(1e6 / rank))
+        y = float(round(2000.0 * (1.0 - math.exp(-x / 8000.0))))
+        points.append(DataPoint(f"w{rank}", x, y))
+    return Dataset(tuple(points))
+
+
+def _target(name, words3, model):
+    if name == "words3":
+        return _regression_target(model, words3)
+    if name == "counts64":
+        data = _counts_like_dataset()
+        assert data.size >= density.VECTOR_MIN_POINTS  # the numpy likelihood branch
+        return _regression_target(model, data)
+    log_prob, grad, _ = conjugate_target()
+    return log_prob, grad, 1, std_normal_init, lambda z: z
+
+
+EXACT_CFG = SamplerConfig(n_chains=3, n_draws=300, n_warmup=200, seed=9)
+
+
+@pytest.mark.parametrize("target", ["words3", "counts64", "conjugate"])
+def test_hmc_chain_matches_ndarray_reference_exactly(target, words3, model):
+    log_prob, grad, dim, init, constrain = _target(target, words3, model)
+    overflowed = 0
+
+    def counted_grad(z):
+        nonlocal overflowed
+        g = grad(z)
+        overflowed += not np.all(np.isfinite(g))
+        return g
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(EXACT_CFG.n_chains):
+            stream = sampler._stream_id(EXACT_CFG.seed, k)
+            new = sampler._hmc_chain(log_prob, counted_grad, EXACT_CFG, dim, init, constrain, stream)
+            ref = _ref_hmc_chain(log_prob, counted_grad, EXACT_CFG, dim, init, constrain, stream)
+            assert np.array_equal(new[0], ref[0])
+            assert new[1] == ref[1]
+            assert new[2] == ref[2]
+    if target == "counts64":
+        # warmup's long steps overflow the gradient at x ~ 1e6: those
+        # trajectories are divergences that steer the step-size adaptation
+        assert overflowed > 0
+
+
+@pytest.mark.parametrize("target", ["words3", "counts64", "conjugate"])
+def test_rwm_chain_matches_ndarray_reference_exactly(target, words3, model):
+    log_prob, _, dim, init, constrain = _target(target, words3, model)
+    rejected_outright = 0
+
+    def counted_log_prob(z):
+        nonlocal rejected_outright
+        lp = log_prob(z)
+        rejected_outright += lp == -math.inf
+        return lp
+
+    # the long step sends z_b or z_sigma past exp's range, so some proposals
+    # have no density at all and draw no uniform
+    for cfg in (EXACT_CFG, replace(EXACT_CFG, rwm_step=400.0)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(cfg.n_chains):
+                stream = sampler._stream_id(cfg.seed, k)
+                new = sampler._rwm_chain(counted_log_prob, cfg, dim, init, constrain, stream)
+                ref = _ref_rwm_chain(counted_log_prob, cfg, dim, init, constrain, stream)
+                assert np.array_equal(new[0], ref[0])
+                assert new[1] == ref[1]
+    if target != "conjugate":
+        assert rejected_outright > 0
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        [3.0, -2.0, 0.5],
+        [1e308, 1e308, -1e308],  # each entry finite, though their sum is not
+        [1.0, math.inf, 0.0],
+        [0.0, 1.0, math.nan],
+    ],
+)
+def test_leapfrog_matches_ndarray_reference_on_extreme_gradients(g):
+    def grad(z):
+        return np.array(g) * (1.0 + abs(float(z[0])))
+
+    z, p = [0.1, -0.2, 0.3], [0.5, 1.5, -1.0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        new = sampler._leapfrog(z, p, 0.3, 4, grad)
+        ref = _ref_leapfrog(np.array(z), np.array(p), 0.3, 4, grad)
+    if ref is None:
+        assert new is None
+    else:
+        assert np.array_equal(new[0], ref[0], equal_nan=True)
+        assert np.array_equal(new[1], ref[1], equal_nan=True)
