@@ -17,7 +17,6 @@ subcommand is deterministic for a fixed seed.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -74,9 +73,10 @@ def _load_model(path: str | None):
     return parse_model_spec(Path(path).read_text(encoding="utf-8"))
 
 
-def _json_text(payload) -> str:
-    # strict JSON: a NaN or infinity raises ValueError (exit 2) instead of being written
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+def _scatter(data, fit, path: Path) -> None:
+    export.render_scatter_svg(
+        data, fit, export.PlotSpec(), path, x_label="total count", y_label="article count"
+    )
 
 
 def _cmd_counts(ns) -> int:
@@ -101,15 +101,8 @@ def _cmd_fit_ols(ns) -> int:
         "lse": fit.lse,
         "residuals": list(fit.residuals),
     }
-    (out / "ols.json").write_text(_json_text(payload), encoding="utf-8")
-    export.render_scatter_svg(
-        data,
-        fit,
-        export.PlotSpec(),
-        out / "figure1.svg",
-        x_label="total count",
-        y_label="article count",
-    )
+    (out / "ols.json").write_text(export.json_text(payload), encoding="utf-8")
+    _scatter(data, fit, out / "figure1.svg")
     print(f"wrote {out / 'ols.json'} and {out / 'figure1.svg'}", file=sys.stderr)
     return 0
 
@@ -131,14 +124,7 @@ def _sampler_config(ns) -> SamplerConfig:
 def _write_figures(data, chains, ensemble_size: int, out: Path) -> None:
     ensemble = inference.draw_line_ensemble(chains, ensemble_size)
     export.render_marginals_svg(chains, export.PlotSpec(), out / "figure2a.svg")
-    export.render_scatter_svg(
-        data,
-        ensemble,
-        export.PlotSpec(),
-        out / "figure2b.svg",
-        x_label="total count",
-        y_label="article count",
-    )
+    _scatter(data, ensemble, out / "figure2b.svg")
 
 
 def _cmd_fit_bayes(ns) -> int:
@@ -177,14 +163,14 @@ def _cmd_evidence(ns) -> int:
         ],
         "bayes_factor": inference.bayes_factor(estimates[0], estimates[1]),
     }
-    sys.stdout.write(_json_text(payload))
+    sys.stdout.write(export.json_text(payload))
     return 0
 
 
 def _cmd_update(ns) -> int:
     state = ConjugateNormalState(mean=ns.prior_mean, variance=ns.prior_var)
     state = inference.sequential_update(state, ns.observations, ns.obs_sd)
-    sys.stdout.write(_json_text({"mean": state.mean, "variance": state.variance}))
+    sys.stdout.write(export.json_text({"mean": state.mean, "variance": state.variance}))
     return 0
 
 
@@ -193,15 +179,11 @@ def _cmd_plot(ns) -> int:
     out = _out_dir(ns)
     samples = Path(ns.samples) if ns.samples else out / "samples.csv"
     chains = export.read_samples_csv(samples)
+    for name in ("a", "b"):
+        if name not in chains.param_names:
+            raise ValueError(f"{samples} has no column {name!r}")
     fit = ols.ols_fit(data)
-    export.render_scatter_svg(
-        data,
-        fit,
-        export.PlotSpec(),
-        out / "figure1.svg",
-        x_label="total count",
-        y_label="article count",
-    )
+    _scatter(data, fit, out / "figure1.svg")
     _write_figures(data, chains, ns.ensemble, out)
     print(f"wrote figures to {out}", file=sys.stderr)
     return 0

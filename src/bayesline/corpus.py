@@ -219,7 +219,8 @@ def top_k(stats: list[WordStats], k: int) -> Dataset:
     )
 
 
-def _read_text(source: str | Path | TextIO) -> str:
+def read_text(source: str | Path | TextIO) -> str:
+    """The text of an open handle, or of the UTF-8 file at a path."""
     if hasattr(source, "read"):
         return source.read()
     return Path(source).read_text(encoding="utf-8")
@@ -231,7 +232,7 @@ def load_dataset_tsv(source: str | Path | TextIO) -> Dataset:
     Lines starting with '#' are comments; blank lines are skipped. Non-numeric
     and non-finite (nan, inf) values raise a line-numbered DatasetParseError.
     """
-    text = _read_text(source)
+    text = read_text(source)
     points = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
@@ -267,7 +268,7 @@ def format_dataset_tsv(dataset: Dataset) -> str:
 
 def load_stopwords(source: str | Path | TextIO) -> StopwordList:
     """Load a newline-delimited stopword file, one lowercase token per line."""
-    text = _read_text(source)
+    text = read_text(source)
     words = set()
     for line_no, line in enumerate(text.splitlines(), start=1):
         word = line.strip()

@@ -19,6 +19,14 @@ Summation order is pinned down so tests can assert exact decompositions:
 ``log_posterior_unconstrained`` is literally
 ``log_prior + log_likelihood + jacobian``. Appending a data point therefore
 changes the likelihood by exactly that point's term.
+
+The prior convention: ``b`` and ``sigma`` are positive, so a Normal prior on
+``b`` is truncated at 0. ``log_prior`` uses the untruncated Normal density
+for it; that differs from the truncated, renormalised density by a constant,
+which MCMC never sees. ``sample_prior`` draws from the truncated,
+renormalised prior, which is what the evidence estimate and the samplers'
+starting points need. Prior scales lie in about [1.5e-154, 9.5e153] (see
+``modelspec``), so every density here can divide by their squares.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ __all__ = [
     "log_likelihood",
     "log_posterior_unconstrained",
     "log_prior",
+    "sample_prior",
     "transform",
 ]
 
@@ -114,8 +123,43 @@ def _dist_score(dist: DistributionSpec, x: float) -> float:
     return -x / (dist.scale * dist.scale)
 
 
+def _draw(dist: DistributionSpec, rng: np.random.Generator, n: int) -> np.ndarray:
+    if dist.kind == "HalfNormal":
+        return np.abs(rng.normal(0.0, dist.scale, n))
+    return rng.normal(dist.location, dist.scale, n)
+
+
+def _draw_positive(dist: DistributionSpec, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n draws truncated at 0: every value <= 0 is redrawn, in place, until none is."""
+    values = _draw(dist, rng, n)
+    for _ in range(10_000):
+        bad = values <= 0.0
+        if not bad.any():
+            return values
+        values[bad] = _draw(dist, rng, int(bad.sum()))
+    raise ValueError(f"prior {dist} has essentially no mass above 0")
+
+
+def sample_prior(spec: ModelSpec, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n prior draws of (a, b, sigma), shaped (n, 3), with b and sigma truncated to > 0.
+
+    All n values of a are drawn first, then b, then sigma, so a size-1 draw
+    uses the generator exactly as drawing a, b and sigma one at a time does.
+    """
+    return np.column_stack(
+        [
+            _draw(spec.slope_prior, rng, n),
+            _draw_positive(spec.intercept_prior, rng, n),
+            _draw_positive(spec.noise_prior, rng, n),
+        ]
+    )
+
+
 def log_prior(p: ParamVector, spec: ModelSpec) -> float:
-    """Sum of the prior log densities of a, b and sigma, in that order."""
+    """Sum of the prior log densities of a, b and sigma, in that order.
+
+    A Normal prior on b enters untruncated; see the module docstring.
+    """
     total = _dist_logpdf(spec.slope_prior, p.a)
     total += _dist_logpdf(spec.intercept_prior, p.b)
     total += _dist_logpdf(spec.noise_prior, p.sigma)

@@ -18,13 +18,14 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .corpus import Dataset
+from .corpus import Dataset, read_text
 from .inference import LineEnsemble, Summary
 from .ols import OlsFit
 from .sampler import Chains
 
 __all__ = [
     "PlotSpec",
+    "json_text",
     "read_samples_csv",
     "render_marginals_svg",
     "render_scatter_svg",
@@ -60,57 +61,63 @@ class PlotSpec:
             raise ValueError("line opacity must lie in (0, 1]")
 
 
-def _fmt17(v: float) -> str:
-    return format(v, ".17g")
-
-
-def _open_text(sink, mode: str):
+def _write_text(sink: str | Path | IO[str], text: str) -> None:
+    """Write text to an open handle, or to a UTF-8 file at a path with LF line ends."""
     if hasattr(sink, "write"):
-        return sink, False
-    return open(Path(sink), mode, encoding="utf-8", newline="\n"), True
+        sink.write(text)
+        return
+    with open(Path(sink), "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
+def json_text(payload) -> str:
+    """Indented strict JSON with a final newline; a NaN or infinity raises ValueError."""
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def write_samples_csv(chains: Chains, sink: str | Path | IO[str]) -> None:
     """Dump draws as `chain,draw,a,b,sigma` rows ordered by (chain, draw)."""
     if chains.total_draws == 0:
         raise ValueError("cannot write empty chains")
-    fh, owned = _open_text(sink, "w")
-    try:
-        fh.write("chain," + "draw," + ",".join(chains.param_names) + "\n")
-        for c in range(chains.n_chains):
-            for d in range(chains.n_draws):
-                values = ",".join(_fmt17(v) for v in chains.draws[c, d])
-                fh.write(f"{c},{d},{values}\n")
-    finally:
-        if owned:
-            fh.close()
+    names = chains.param_names
+    row = "%d,%d," + ",".join(["%.17g"] * len(names)) + "\n"
+    body = "".join(
+        row % (c, d, *v) for c, chain in enumerate(chains.draws.tolist()) for d, v in enumerate(chain)
+    )
+    _write_text(sink, "chain,draw," + ",".join(names) + "\n" + body)
 
 
 def read_samples_csv(source: str | Path | IO[str]) -> Chains:
-    """Rebuild Chains from a samples CSV; run metadata is not recoverable."""
-    fh, owned = _open_text(source, "r")
-    try:
-        lines = fh.read().splitlines()
-    finally:
-        if owned:
-            fh.close()
+    """Rebuild Chains from a samples CSV; run metadata is not recoverable.
+
+    A row with a non-finite draw, or with more or fewer values than the
+    header has columns, raises ValueError naming its line.
+    """
+    lines = read_text(source).splitlines()
     if not lines:
         raise ValueError("empty samples file")
     header = lines[0].split(",")
     if len(header) < 3 or header[0] != "chain" or header[1] != "draw":
         raise ValueError(f"unexpected header {lines[0]!r}")
     param_names = tuple(header[2:])
-    rows: dict[int, list[list[float]]] = {}
+    width = len(header)
+    chain_ids, rows = [], []  # row i is on line i + 2
     for line in lines[1:]:
         fields = line.split(",")
-        chain = int(fields[0])
-        rows.setdefault(chain, []).append([float(v) for v in fields[2:]])
-    n_chains = len(rows)
-    counts = {len(v) for v in rows.values()}
-    if sorted(rows) != list(range(n_chains)) or len(counts) != 1:
+        if len(fields) != width:
+            raise ValueError(f"samples file line {len(rows) + 2}: {len(fields) - 2} values for columns {header[2:]}")
+        chain_ids.append(int(fields[0]))
+        rows.append([float(v) for v in fields[2:]])
+    # checked as one array: a per-row check costs about a tenth of `plot`
+    values = np.array(rows, dtype=float).reshape(len(rows), len(param_names))
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"samples file line {int(finite.argmin()) + 2}: non-finite draw")
+    ids = np.array(chain_ids, dtype=int)
+    per_chain = [values[ids == c] for c in range(int(ids.max(initial=-1)) + 1)]
+    if ids.min(initial=0) < 0 or len({len(v) for v in per_chain}) != 1:
         raise ValueError("samples file has ragged or non-contiguous chains")
-    draws = np.array([rows[c] for c in range(n_chains)], dtype=float)
-    return Chains(draws=draws, param_names=param_names)
+    return Chains(draws=np.array(per_chain), param_names=param_names)
 
 
 def _summary_payload(summary: Summary) -> dict:
@@ -128,13 +135,7 @@ def _summary_payload(summary: Summary) -> dict:
 
 def write_summary_json(summary: Summary, sink: str | Path | IO[str]) -> None:
     """Summary as JSON with a fixed key order; undefined diagnostics are null."""
-    fh, owned = _open_text(sink, "w")
-    try:
-        json.dump(_summary_payload(summary), fh, indent=2, allow_nan=False)
-        fh.write("\n")
-    finally:
-        if owned:
-            fh.close()
+    _write_text(sink, json_text(_summary_payload(summary)))
 
 
 # ---------------------------------------------------------------------------
@@ -275,12 +276,7 @@ def render_scatter_svg(
             f'font-size="10">{escape(point.label)}</text>'
         )
     parts.append("</svg>")
-    fh, owned = _open_text(sink, "w")
-    try:
-        fh.write("\n".join(parts) + "\n")
-    finally:
-        if owned:
-            fh.close()
+    _write_text(sink, "\n".join(parts) + "\n")
 
 
 def render_marginals_svg(
@@ -334,9 +330,4 @@ def render_marginals_svg(
             f'text-anchor="middle">{escape(name)}</text>'
         )
     parts.append("</svg>")
-    fh, owned = _open_text(sink, "w")
-    try:
-        fh.write("\n".join(parts) + "\n")
-    finally:
-        if owned:
-            fh.close()
+    _write_text(sink, "\n".join(parts) + "\n")

@@ -22,9 +22,10 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
+from . import density
 from .corpus import Dataset
 from .density import LOG_TWO_PI
-from .modelspec import DistributionSpec, ModelSpec
+from .modelspec import ModelSpec
 from .sampler import Chains
 
 __all__ = [
@@ -271,28 +272,6 @@ def evidence_mc(
     )
 
 
-def _sample_prior_matrix(spec: ModelSpec, rng: np.random.Generator, n: int) -> np.ndarray:
-    def draw(dist: DistributionSpec, positive: bool) -> np.ndarray:
-        if dist.kind == "HalfNormal":
-            return np.abs(rng.normal(0.0, dist.scale, n))
-        values = rng.normal(dist.location, dist.scale, n)
-        if positive:
-            # truncate at 0 by redrawing; the model constrains b >= 0
-            for _ in range(10_000):
-                bad = values <= 0.0
-                if not bad.any():
-                    break
-                values[bad] = rng.normal(dist.location, dist.scale, int(bad.sum()))
-            else:
-                raise ValueError(f"prior {dist} has essentially no mass above 0")
-        return values
-
-    a = draw(spec.slope_prior, positive=False)
-    b = draw(spec.intercept_prior, positive=True)
-    sigma = draw(spec.noise_prior, positive=True)
-    return np.column_stack([a, b, sigma])
-
-
 # Prior draws per block of estimate_evidence's residual buffer hold about
 # this many elements (512 KB), so memory stays O(block + n_samples).
 EVIDENCE_BLOCK_ELEMENTS = 1 << 16
@@ -327,7 +306,7 @@ def estimate_evidence(
         return -0.5 * m * LOG_TWO_PI - m * np.log(sigma) - ss / (2.0 * sigma ** 2)
 
     return evidence_mc(
-        log_lik, lambda rng, n: _sample_prior_matrix(spec, rng, n), n_prior_samples, seed
+        log_lik, lambda rng, n: density.sample_prior(spec, rng, n), n_prior_samples, seed
     )
 
 

@@ -12,14 +12,17 @@ starting a comment:
 
 All three parameters and the likelihood must be declared; there are no
 silent defaults. ``sigma`` must use a HalfNormal prior because the noise
-scale has to be positive. Every parse failure carries a 1-based line and
-column.
+scale has to be positive. A scale must be positive, with a square that is
+a normal float and a doubled square that is finite: about 1.5e-154 to
+9.5e153, so the densities can divide by both. Every parse failure carries a
+1-based line and column.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 
 __all__ = [
@@ -61,7 +64,7 @@ class UnknownDistributionError(ModelSpecError):
 
 
 class NonPositiveScaleError(ModelSpecError):
-    """A scale argument was zero or negative."""
+    """A scale argument was not positive, or its square underflows or overflows."""
 
 
 class DuplicateParameterError(ModelSpecError):
@@ -80,6 +83,14 @@ class LikelihoodError(ModelSpecError):
     """The likelihood statement is missing, duplicated, or malformed."""
 
 
+_SCALE_RANGE = "scale must be positive and lie in about [1.5e-154, 9.5e153]"
+
+
+def _scale_ok(scale: float) -> bool:
+    # densities divide by scale**2 and by 2 * scale**2
+    return scale > 0 and scale * scale >= sys.float_info.min and math.isfinite(2 * scale * scale)
+
+
 @dataclass(frozen=True)
 class DistributionSpec:
     """A Normal(location, scale) or HalfNormal(scale) prior."""
@@ -91,8 +102,8 @@ class DistributionSpec:
     def __post_init__(self):
         if self.kind not in _DISTRIBUTIONS:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
-        if not (math.isfinite(self.scale) and self.scale > 0):
-            raise ValueError(f"scale must be a finite positive number, got {self.scale}")
+        if not _scale_ok(self.scale):
+            raise ValueError(f"{_SCALE_RANGE}, got {self.scale}")
         if self.kind == "Normal":
             if self.location is None or not math.isfinite(self.location):
                 raise ValueError("Normal requires a finite location")
@@ -204,8 +215,8 @@ def _parse_param_line(line: str, line_no: int) -> tuple[str, DistributionSpec]:
             )
         location = None
         scale, scale_col = args[0]
-    if not scale > 0:
-        raise NonPositiveScaleError(f"scale must be positive, got {scale:g}", line_no, scale_col)
+    if not _scale_ok(scale):
+        raise NonPositiveScaleError(f"{_SCALE_RANGE}, got {scale:g}", line_no, scale_col)
     if name == "sigma" and dist != "HalfNormal":
         raise NoisePriorError(
             "sigma is a noise scale and must be positive: use HalfNormal",

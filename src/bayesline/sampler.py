@@ -41,7 +41,7 @@ import numpy as np
 
 from . import density
 from .corpus import Dataset
-from .modelspec import DistributionSpec, ModelSpec
+from .modelspec import ModelSpec
 
 __all__ = [
     "Chains",
@@ -153,9 +153,16 @@ def _finite(lp: float) -> float:
     return lp if math.isfinite(lp) else -math.inf
 
 
-def _rwm_chain(log_prob, cfg: SamplerConfig, dim, init, constrain, stream):
+def _accepts(rng, log_ratio: float) -> bool:
+    """Metropolis test: draw u ~ U[0, 1) and accept when log u < log_ratio."""
+    u = rng.random()
+    return (math.log(u) if u > 0.0 else -math.inf) < log_ratio
+
+
+def _rwm_chain(log_prob, cfg: SamplerConfig, init, constrain, stream):
     rng = np.random.default_rng(stream)
     z, lp = _find_start(log_prob, init, rng)
+    dim = len(z)
     out = np.empty((cfg.n_draws, dim))
     step = cfg.rwm_step
     accepted = 0
@@ -164,13 +171,9 @@ def _rwm_chain(log_prob, cfg: SamplerConfig, dim, init, constrain, stream):
         noise = rng.standard_normal(dim).tolist()
         prop = [zi + step * ni for zi, ni in zip(z, noise)]
         lp_prop = _finite(log_prob(prop))
-        took = False
-        if lp_prop > -math.inf:
-            u = rng.random()
-            log_u = math.log(u) if u > 0.0 else -math.inf
-            if log_u < lp_prop - lp:
-                z, lp = prop, lp_prop
-                took = True
+        took = lp_prop > -math.inf and _accepts(rng, lp_prop - lp)
+        if took:
+            z, lp = prop, lp_prop
         if it >= cfg.n_warmup:
             out[it - cfg.n_warmup] = constrain(z)
             accepted += took
@@ -251,9 +254,10 @@ def _kinetic(p) -> float:
     return 0.5 * total
 
 
-def _hmc_chain(log_prob, grad, cfg: SamplerConfig, dim, init, constrain, stream):
+def _hmc_chain(log_prob, grad, cfg: SamplerConfig, init, constrain, stream):
     rng = np.random.default_rng(stream)
     z, lp = _find_start(log_prob, init, rng)
+    dim = len(z)
     eps = cfg.hmc_step
     adapt = _DualAveraging(eps, cfg.target_accept)
     restart_at = cfg.n_warmup // 2
@@ -276,13 +280,9 @@ def _hmc_chain(log_prob, grad, cfg: SamplerConfig, dim, init, constrain, stream)
             delta = (-lp_new + _kinetic(p_new)) - h0
         diverged = not math.isfinite(delta) or abs(delta) > DIVERGENCE_DELTA
         alpha = 0.0 if diverged else min(1.0, math.exp(min(-delta, 0.0)))
-        took = False
-        if not diverged:
-            u = rng.random()
-            log_u = math.log(u) if u > 0.0 else -math.inf
-            if log_u < -delta:
-                z, lp = z_new, lp_new
-                took = True
+        took = not diverged and _accepts(rng, -delta)
+        if took:
+            z, lp = z_new, lp_new
         if it < cfg.n_warmup:
             if it == restart_at and it > 0:
                 adapt = _DualAveraging(eps, cfg.target_accept)
@@ -296,7 +296,7 @@ def _hmc_chain(log_prob, grad, cfg: SamplerConfig, dim, init, constrain, stream)
     return out, accepted / cfg.n_draws, divergences
 
 
-def _run(chain_fn, cfg: SamplerConfig, dim, param_names) -> Chains:
+def _run(chain_fn, cfg: SamplerConfig, param_names) -> Chains:
     streams = [_stream_id(cfg.seed, k) for k in range(cfg.n_chains)]
 
     def one_chain(stream):
@@ -326,7 +326,6 @@ def rwm_chains(
     log_prob: LogProb,
     cfg: SamplerConfig,
     *,
-    dim: int,
     init: Callable,
     param_names: Sequence[str],
     constrain: Callable[[Sequence[float]], np.ndarray] | None = None,
@@ -334,17 +333,12 @@ def rwm_chains(
     """Random-walk Metropolis on an arbitrary log density.
 
     ``init(rng)`` proposes a starting point (retried while the density is
-    not finite); ``constrain`` maps an unconstrained state to the stored
-    coordinates (identity by default).
+    not finite); its length sets the dimension. ``constrain`` maps an
+    unconstrained state to the stored coordinates (identity by default).
     """
     constrain = constrain if constrain is not None else lambda z: z
     cfg = replace(cfg, algorithm="rwm")
-    return _run(
-        lambda s: _rwm_chain(log_prob, cfg, dim, init, constrain, s),
-        cfg,
-        dim,
-        param_names,
-    )
+    return _run(lambda s: _rwm_chain(log_prob, cfg, init, constrain, s), cfg, param_names)
 
 
 def hmc_chains(
@@ -352,7 +346,6 @@ def hmc_chains(
     grad_log_prob: GradLogProb,
     cfg: SamplerConfig,
     *,
-    dim: int,
     init: Callable,
     param_names: Sequence[str],
     constrain: Callable[[Sequence[float]], np.ndarray] | None = None,
@@ -361,30 +354,16 @@ def hmc_chains(
     constrain = constrain if constrain is not None else lambda z: z
     cfg = replace(cfg, algorithm="hmc")
     return _run(
-        lambda s: _hmc_chain(log_prob, grad_log_prob, cfg, dim, init, constrain, s),
-        cfg,
-        dim,
-        param_names,
+        lambda s: _hmc_chain(log_prob, grad_log_prob, cfg, init, constrain, s), cfg, param_names
     )
-
-
-def _sample_prior_value(dist: DistributionSpec, rng, positive: bool) -> float:
-    """One prior draw; priors on positive parameters are truncated at 0."""
-    for _ in range(10_000):
-        if dist.kind == "HalfNormal":
-            v = abs(rng.normal(0.0, dist.scale))
-        else:
-            v = rng.normal(dist.location, dist.scale)
-        if not positive or v > 0.0:
-            return v
-    raise InitializationError(f"prior {dist} has essentially no mass above 0")
 
 
 def _prior_init(spec: ModelSpec):
     def init(rng):
-        a = _sample_prior_value(spec.slope_prior, rng, positive=False)
-        b = _sample_prior_value(spec.intercept_prior, rng, positive=True)
-        sigma = _sample_prior_value(spec.noise_prior, rng, positive=True)
+        try:
+            a, b, sigma = density.sample_prior(spec, rng, 1)[0]
+        except ValueError as exc:  # a prior on b or sigma with no mass above 0
+            raise InitializationError(str(exc)) from exc
         return density.transform(density.ParamVector(a, b, sigma))
 
     return init
@@ -402,7 +381,6 @@ def sample_rwm(spec: ModelSpec, data: Dataset, cfg: SamplerConfig) -> Chains:
     return rwm_chains(
         lambda z: density.log_posterior_unconstrained(z, spec, data),
         cfg,
-        dim=3,
         init=_prior_init(spec),
         param_names=_PARAM_NAMES,
         constrain=_constrain,
@@ -415,7 +393,6 @@ def sample_hmc(spec: ModelSpec, data: Dataset, cfg: SamplerConfig) -> Chains:
         lambda z: density.log_posterior_unconstrained(z, spec, data),
         lambda z: density.grad_log_posterior_unconstrained(z, spec, data),
         cfg,
-        dim=3,
         init=_prior_init(spec),
         param_names=_PARAM_NAMES,
         constrain=_constrain,

@@ -77,8 +77,8 @@ def conjugate_runs():
     analytic = sequential_update(ConjugateNormalState(0.0, 1.0), ys, 1.0)
     cfg = SamplerConfig(n_chains=4, n_draws=4000, n_warmup=1000, seed=17)
     t0 = time.monotonic()
-    hmc = hmc_chains(log_prob, grad, cfg, dim=1, init=init, param_names=("mu",))
-    rwm = rwm_chains(log_prob, cfg, dim=1, init=init, param_names=("mu",))
+    hmc = hmc_chains(log_prob, grad, cfg, init=init, param_names=("mu",))
+    rwm = rwm_chains(log_prob, cfg, init=init, param_names=("mu",))
     elapsed = time.monotonic() - t0
     return {"analytic": analytic, "hmc": hmc, "rwm": rwm, "seconds": elapsed}
 

@@ -190,6 +190,51 @@ def test_rwm_step_reaching_underflowing_sigma_still_samples(dataset_tsv, tmp_pat
     assert (out / "samples.csv").exists()
 
 
+@pytest.mark.parametrize("scale", ["1e-200", "1e200"])
+def test_prior_scale_with_unusable_square_exits_2(scale, dataset_tsv, tmp_path, capsys):
+    # 1e-200 squared underflows to 0 and 2 * 1e200 squared overflows to inf
+    model = tmp_path / "model.txt"
+    text = format_model_spec(default_model()).replace("Normal(0, 1)", f"Normal(0, {scale})", 1)
+    model.write_text(text)
+    out = tmp_path / "out"
+    assert run(["fit-bayes", str(dataset_tsv), "--model", str(model), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "(line 1, column 21)" in captured.err
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
+def _samples_csv(path, names, bad_row=None):
+    rows = [f"0,{d},1,2,3\n" for d in range(20)]
+    if bad_row is not None:
+        rows[bad_row] = f"0,{bad_row},1,nan,3\n"
+    path.write_text("chain,draw," + ",".join(names) + "\n" + "".join(rows))
+    return path
+
+
+@pytest.mark.parametrize("missing", ["a", "b"])
+def test_plot_without_an_a_or_b_column_exits_2(missing, dataset_tsv, tmp_path, capsys):
+    names = [n if n != missing else "c" for n in ("a", "b", "sigma")]
+    samples = _samples_csv(tmp_path / "samples.csv", names)
+    out = tmp_path / "out"
+    argv = ["plot", str(dataset_tsv), "--samples", str(samples), "--ensemble", "5", "--out", str(out)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert f"no column {missing!r}" in err
+    assert "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
+def test_plot_of_non_finite_draws_exits_2_with_line_number(dataset_tsv, tmp_path, capsys):
+    samples = _samples_csv(tmp_path / "samples.csv", ["a", "b", "sigma"], bad_row=5)
+    out = tmp_path / "out"
+    argv = ["plot", str(dataset_tsv), "--samples", str(samples), "--ensemble", "5", "--out", str(out)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "line 7" in err and "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
 def test_evidence_requires_two_models(dataset_tsv, model_file):
     assert run(["evidence", str(dataset_tsv), "--model", str(model_file)]) == 1
 

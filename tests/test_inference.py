@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bayesline import inference
+from bayesline import density, inference
 from bayesline.corpus import DataPoint, Dataset
 from bayesline.density import LOG_TWO_PI
 from bayesline.inference import (
@@ -273,7 +273,7 @@ def test_evidence_blocks_match_full_matrix_exactly(m, n_samples, model, monkeypa
     assert seen["log_lik"].tobytes() == reference.tobytes()
     expected = evidence_mc(
         lambda theta: _full_matrix_log_lik(theta, data.x, data.y),
-        lambda g, n: inference._sample_prior_matrix(model, g, n),
+        lambda g, n: density.sample_prior(model, g, n),
         n_samples,
         seed=5,
     )

@@ -54,6 +54,35 @@ def test_non_positive_scale():
     assert err.value.line == 1
 
 
+@pytest.mark.parametrize(
+    "line, column",
+    [
+        ("param a ~ Normal(0, 1e-200)", 21),
+        ("param a ~ Normal(0, 1e200)", 21),
+        ("param b ~ HalfNormal(1e-155)", 22),
+        ("param sigma ~ HalfNormal(1e154)", 26),
+        ("param sigma ~ HalfNormal(1e999)", 26),
+    ],
+)
+def test_scale_whose_square_underflows_or_overflows_is_rejected(line, column):
+    with pytest.raises(NonPositiveScaleError) as err:
+        parse_model_spec(line)
+    assert (err.value.line, err.value.column) == (1, column)
+
+
+def test_scale_range_edges():
+    low, high = 1.4916681462400413e-154, 9.480751908109176e153
+    for scale in (low, high):
+        assert DistributionSpec.normal(0.0, scale).scale == scale
+        text = PAPER_TEXT.replace("Normal(0, 1)", f"Normal(0, {scale!r})")
+        assert parse_model_spec(text).slope_prior.scale == scale
+    for scale in (low / 2, high * 1.0000001, 1e-200, 1e200, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            DistributionSpec.normal(0.0, scale)
+        with pytest.raises(ValueError):
+            DistributionSpec.half_normal(scale)
+
+
 def test_sigma_normal_prior_is_rejected():
     text = PAPER_TEXT.replace("param sigma ~ HalfNormal(1)", "param sigma ~ Normal(0, 1)")
     with pytest.raises(NoisePriorError) as err:

@@ -95,16 +95,14 @@ def test_tiny_step_conserves_energy():
     cfg = SamplerConfig(
         n_chains=2, n_draws=400, n_warmup=0, seed=5, hmc_step=1e-6, hmc_leapfrog=2
     )
-    chains = hmc_chains(log_prob, grad, cfg, dim=1, init=std_normal_init, param_names=("mu",))
+    chains = hmc_chains(log_prob, grad, cfg, init=std_normal_init, param_names=("mu",))
     assert all(r > 0.999 for r in chains.accept_rates)
 
 
 def test_initialization_error():
     cfg = SamplerConfig(n_chains=1, n_draws=10, n_warmup=0, seed=0)
     with pytest.raises(InitializationError):
-        rwm_chains(
-            lambda z: -math.inf, cfg, dim=1, init=std_normal_init, param_names=("mu",)
-        )
+        rwm_chains(lambda z: -math.inf, cfg, init=std_normal_init, param_names=("mu",))
 
 
 @pytest.mark.parametrize("kernel", ["rwm", "hmc"])
@@ -112,11 +110,9 @@ def test_conjugate_recovery(kernel):
     log_prob, grad, analytic = conjugate_target()
     cfg = SamplerConfig(n_chains=4, n_draws=1500, n_warmup=500, seed=11, rwm_step=0.5)
     if kernel == "rwm":
-        chains = rwm_chains(log_prob, cfg, dim=1, init=std_normal_init, param_names=("mu",))
+        chains = rwm_chains(log_prob, cfg, init=std_normal_init, param_names=("mu",))
     else:
-        chains = hmc_chains(
-            log_prob, grad, cfg, dim=1, init=std_normal_init, param_names=("mu",)
-        )
+        chains = hmc_chains(log_prob, grad, cfg, init=std_normal_init, param_names=("mu",))
     pooled = chains.pooled("mu")
     mcse = pooled.std(ddof=1) / math.sqrt(ess(chains, "mu"))
     assert abs(pooled.mean() - analytic.mean) < 3 * mcse
@@ -126,7 +122,7 @@ def test_conjugate_recovery(kernel):
 def test_hmc_acceptance_in_band_on_conjugate_target():
     log_prob, grad, _ = conjugate_target()
     cfg = SamplerConfig(n_chains=4, n_draws=1000, n_warmup=500, seed=2)
-    chains = hmc_chains(log_prob, grad, cfg, dim=1, init=std_normal_init, param_names=("mu",))
+    chains = hmc_chains(log_prob, grad, cfg, init=std_normal_init, param_names=("mu",))
     for rate in chains.accept_rates:
         assert 0.6 <= rate <= 0.95
 
@@ -338,7 +334,7 @@ def test_hmc_chain_matches_ndarray_reference_exactly(target, words3, model):
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(EXACT_CFG.n_chains):
             stream = sampler._stream_id(EXACT_CFG.seed, k)
-            new = sampler._hmc_chain(log_prob, counted_grad, EXACT_CFG, dim, init, constrain, stream)
+            new = sampler._hmc_chain(log_prob, counted_grad, EXACT_CFG, init, constrain, stream)
             ref = _ref_hmc_chain(log_prob, counted_grad, EXACT_CFG, dim, init, constrain, stream)
             assert np.array_equal(new[0], ref[0])
             assert new[1] == ref[1]
@@ -366,7 +362,7 @@ def test_rwm_chain_matches_ndarray_reference_exactly(target, words3, model):
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(cfg.n_chains):
                 stream = sampler._stream_id(cfg.seed, k)
-                new = sampler._rwm_chain(counted_log_prob, cfg, dim, init, constrain, stream)
+                new = sampler._rwm_chain(counted_log_prob, cfg, init, constrain, stream)
                 ref = _ref_rwm_chain(counted_log_prob, cfg, dim, init, constrain, stream)
                 assert np.array_equal(new[0], ref[0])
                 assert new[1] == ref[1]
