@@ -7,6 +7,13 @@ reproducible: lowercase the text, split on every non-alphabetic character,
 drop tokens shorter than two characters. A consequence is that hyphenated
 or apostrophized words split into their parts ("non-linear" -> "non",
 "linear").
+
+An article whose lowercased text is all ASCII is split by mapping every
+non-letter to a space and splitting on whitespace, which gives exactly the
+tokens of the Unicode-letter regex; any other article keeps the regex.
+Counting runs in C: one `Counter` of occurrences and one of per-article
+word sets, with short tokens and stopwords dropped once over the distinct
+words.
 """
 
 from __future__ import annotations
@@ -14,8 +21,10 @@ from __future__ import annotations
 import io
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from pathlib import Path
 from typing import Iterable, NamedTuple, TextIO
 
@@ -44,6 +53,10 @@ __all__ = [
 # Runs of Unicode letters; digits and underscores split words like any
 # other non-alphabetic character.
 _TOKEN = re.compile(r"[^\W\d_]+")
+# On ASCII text the regex matches exactly the runs of ASCII letters.
+_ASCII_NON_LETTERS = str.maketrans(
+    {chr(c): " " for c in range(128) if not chr(c).isalpha()}
+)
 
 _MIN_TOKEN_LEN = 2
 
@@ -174,9 +187,18 @@ def ingest_articles(sources: Iterable[str | Path]) -> Corpus:
     return Corpus(tuple(articles))
 
 
+def _words(text: str) -> list[str]:
+    """Lowercase `text` and split it into its runs of letters, short ones included."""
+    low = text.lower()
+    if low.isascii():
+        return low.translate(_ASCII_NON_LETTERS).split()
+    return _TOKEN.findall(low)
+
+
 def tokenize(text: str) -> list[str]:
     """Lowercase `text` and split it into alphabetic tokens of length >= 2."""
-    return [t for t in _TOKEN.findall(text.lower()) if len(t) >= _MIN_TOKEN_LEN]
+    words = _words(text)
+    return list(compress(words, map(_MIN_TOKEN_LEN.__le__, map(len, words))))
 
 
 def word_stats(corpus: Corpus, stopwords: StopwordList | None = None) -> list[WordStats]:
@@ -187,19 +209,17 @@ def word_stats(corpus: Corpus, stopwords: StopwordList | None = None) -> list[Wo
     """
     if len(corpus) == 0:
         raise EmptyCorpusError("corpus has no articles")
-    if stopwords is None:
-        stopwords = StopwordList.empty()
-    totals: dict[str, int] = {}
-    articles_with: dict[str, set[str]] = {}
-    for article_id, body in corpus.articles:
-        for token in tokenize(body):
-            if token in stopwords:
-                continue
-            totals[token] = totals.get(token, 0) + 1
-            articles_with.setdefault(token, set()).add(article_id)
+    excluded = stopwords.words if stopwords is not None else frozenset()
+    totals: Counter[str] = Counter()
+    articles: Counter[str] = Counter()  # article ids are unique, so a set per article counts them
+    for _, body in corpus.articles:
+        words = _words(body)
+        totals.update(words)
+        articles.update(set(words))
     return [
-        WordStats(word, totals[word], len(articles_with[word]))
-        for word in sorted(totals)
+        WordStats(word, totals[word], articles[word])
+        for word in sorted(totals.keys() - excluded)
+        if len(word) >= _MIN_TOKEN_LEN
     ]
 
 

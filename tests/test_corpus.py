@@ -1,9 +1,14 @@
+import importlib.util
 import io
+import re
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bayesline import cli
 from bayesline.corpus import (
     Corpus,
     CorpusError,
@@ -19,9 +24,11 @@ from bayesline.corpus import (
     ingest_articles,
     load_dataset_tsv,
     load_stopwords,
+    tokenize,
     top_k,
     word_stats,
 )
+from bayesline.corpus import _words
 
 
 def test_ingest_two_files(tmp_path):
@@ -204,3 +211,111 @@ def test_tsv_round_trip(points):
     data = Dataset(tuple(DataPoint(f"{l}{i}", x, y) for i, (l, x, y) in enumerate(points)))
     again = load_dataset_tsv(io.StringIO(format_dataset_tsv(data)))
     assert again.points == data.points
+
+
+# ---------------------------------------------------------------------------
+# The regex tokenizer and the dict/set counter that the translate/split
+# tokenizer and the Counter-based word_stats replaced, kept verbatim as
+# references.
+
+_REF_TOKEN = re.compile(r"[^\W\d_]+")
+
+
+def _ref_tokenize(text):
+    return [t for t in _REF_TOKEN.findall(text.lower()) if len(t) >= 2]
+
+
+def _ref_word_stats(corpus, stopwords=None):
+    if len(corpus) == 0:
+        raise EmptyCorpusError("corpus has no articles")
+    if stopwords is None:
+        stopwords = StopwordList.empty()
+    totals = {}
+    articles_with = {}
+    for article_id, body in corpus.articles:
+        for token in _ref_tokenize(body):
+            if token in stopwords:
+                continue
+            totals[token] = totals.get(token, 0) + 1
+            articles_with.setdefault(token, set()).add(article_id)
+    return [
+        WordStats(word, totals[word], len(articles_with[word]))
+        for word in sorted(totals)
+    ]
+
+
+# ASCII letters and separators, plus the characters where a tokenizer can
+# go wrong: underscore, digits, apostrophe and hyphen; accented and
+# upper-case non-ASCII letters; letters whose lowercase form changes its
+# ASCII-ness or length (the Kelvin sign lowers to "k", "İ" to "i" plus a
+# combining dot); ASCII separators that str.split treats as whitespace
+# (\x1c, \x1f); and non-ASCII whitespace (NEL, NBSP).
+_AWKWARD = "abcxyzABCXYZ \t\n_09'-.,é\u212a\u0130ßÉÅΣΩ\x1c\x1f\x85\xa0"
+awkward_text = st.text(alphabet=st.sampled_from(_AWKWARD), max_size=60)
+ascii_text = st.text(alphabet=st.characters(max_codepoint=127), max_size=60)
+article_body = st.one_of(awkward_text, ascii_text)
+
+
+@given(text=article_body)
+@settings(max_examples=300, deadline=None)
+def test_tokenize_equals_regex_reference(text):
+    assert tokenize(text) == _ref_tokenize(text)
+    # before the length filter too: every letter run, and nothing else
+    assert _words(text) == _REF_TOKEN.findall(text.lower())
+
+
+def test_tokenize_on_the_awkward_characters():
+    assert tokenize("Don't_stop x2y a-b") == ["don", "stop"]
+    assert tokenize("\u212aelvin \u0130stanbul STRASSE stra\xdfe") == _ref_tokenize(
+        "\u212aelvin \u0130stanbul STRASSE stra\xdfe"
+    )
+    assert tokenize("ab\x1ccd\x1fef\x85gh\xa0ij") == ["ab", "cd", "ef", "gh", "ij"]
+
+
+stopword_sets = st.frozensets(
+    st.sampled_from(["a", "x", "k", "ab", "abc", "xyz", "é", "café", "e2", "don't", "_", "-", "ß"])
+)
+
+
+@given(bodies=st.lists(article_body, min_size=1, max_size=6), words=stopword_sets)
+@settings(max_examples=200, deadline=None)
+def test_word_stats_equals_reference(bodies, words):
+    corpus = Corpus(tuple((f"art{i}", b) for i, b in enumerate(bodies)))
+    stopwords = StopwordList(words)
+    assert word_stats(corpus, stopwords) == _ref_word_stats(corpus, stopwords)
+    assert word_stats(corpus) == _ref_word_stats(corpus)
+
+
+def test_word_stats_equals_reference_with_default_stopwords():
+    corpus = Corpus(
+        (
+            ("one", "The theorem of Bayes: a prior, a likelihood, and the posterior."),
+            ("two", "I think the PRIOR is a belief; the data update it. Naïve Bayes!"),
+            ("three", "x y z 42 the_end"),
+        )
+    )
+    stats = word_stats(corpus, default_stopwords())
+    assert stats == _ref_word_stats(corpus, default_stopwords())
+    assert WordStats("prior", 2, 2) in stats
+
+
+def _bench_workloads():
+    """bench/workloads.py, which generates the benchmark corpora and their exact counts."""
+    if "bench_workloads" not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("bench_workloads", path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # dataclasses look their module up here
+        spec.loader.exec_module(module)
+    return sys.modules["bench_workloads"]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_counts_cli_equals_exact_top_k_on_seeded_corpora(seed, tmp_path, capsys):
+    wl = _bench_workloads()
+    w = wl.Workload(name="small", points="ref3", articles=30, tokens_per_article=400)
+    stopwords = wl.read_stopwords(Path(__file__).resolve().parents[1])
+    corpus = wl.Corpus(w, seed, stopwords)
+    corpus.write(tmp_path / "corpus")
+    assert cli.run(["counts", str(tmp_path / "corpus"), "--top-k", "200"]) == 0
+    assert capsys.readouterr().out == corpus.expected_top_k(200)

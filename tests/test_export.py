@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -198,6 +199,83 @@ def test_read_rejects_non_finite_draws_with_line_number(bad):
 def test_read_rejects_rows_whose_width_differs_from_the_header(text, message):
     with pytest.raises(ValueError, match=message):
         read_samples_csv(io.StringIO(text))
+
+
+_HEADER = "chain,draw,a,b,sigma\n"
+
+
+@pytest.mark.parametrize(
+    ("rows", "message"),
+    [
+        ("0,0,1,2,3\n0,7,1,2,3\n", "line 3: expected chain 0, draw 1"),
+        ("0,0,1,2,3\n0,0,1,2,3\n1,0,1,2,3\n1,1,1,2,3\n", "line 3: expected chain 0, draw 1"),
+        ("0,0,1,2,3\n0,1,1,2,3\n1,1,1,2,3\n1,0,1,2,3\n", "line 4: expected chain 1, draw 0"),
+        ("0,0,1,2,3\n1,0,1,2,3\n0,1,1,2,3\n1,1,1,2,3\n", "line 3: expected chain 0, draw 1"),
+        ("1,0,1,2,3\n1,1,1,2,3\n", "line 2: expected chain 0, draw 0"),
+        ("0,0,1,2,3\n0,1,1,2,3\n1,0,1,2,3\n", "the last chain has 1 draws and the others 2"),
+        ("0,0,1,2,3\n0,1,1,2,3\n0,0.5,1,2,3\n", "line 4: expected chain 0, draw 2"),
+        ("0,0,1,2,3\n0,1,1,2,3\n0,banana,1,2,3\n", "line 4: non-numeric field 'banana'"),
+        ("0,0,1,2,3\nzero,1,1,2,3\n", "line 3: non-numeric field 'zero'"),
+        ("0,0,1,2,3\n0,1,1,2,x\n", "line 3: non-numeric field 'x'"),
+    ],
+    ids=[
+        "skipped_draw",
+        "duplicated_draw",
+        "reordered_draws",
+        "interleaved_chains",
+        "no_chain_0",
+        "short_last_chain",
+        "fractional_draw",
+        "non_numeric_draw",
+        "non_numeric_chain",
+        "non_numeric_value",
+    ],
+)
+def test_read_rejects_misnumbered_or_malformed_rows_with_line_number(rows, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_samples_csv(io.StringIO(_HEADER + rows))
+
+
+@pytest.mark.parametrize(
+    ("bad_row", "message"),
+    [
+        ("1,1499,1,2,3", "line 4502: expected chain 1, draw 1500"),
+        ("1,1500,1,2", "line 4502: 2 values"),
+        ("1,1500,1,2,?", "line 4502: non-numeric field '?'"),
+        ("1,1500,1,2,nan", "line 4502: non-finite draw"),
+    ],
+    ids=["misnumbered", "narrow", "non_numeric", "non_finite"],
+)
+def test_read_names_the_line_of_a_bad_row_past_the_first_block(bad_row, message):
+    rows = [f"{c},{d},1,2,3" for c in range(3) for d in range(3000)]
+    rows[4500] = bad_row
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_samples_csv(io.StringIO(_HEADER + "\n".join(rows) + "\n"))
+
+
+def test_read_rejects_a_file_with_no_draws():
+    with pytest.raises(ValueError, match="no draws"):
+        read_samples_csv(io.StringIO(_HEADER))
+
+
+def test_read_returns_contiguous_draws_in_chain_order():
+    text = _HEADER + "0,0,1,2,3\n0,1,4,5,6\n1,0,7,8,9\n1,1,10,11,12\n"
+    draws = read_samples_csv(io.StringIO(text)).draws
+    assert draws.flags.c_contiguous
+    assert draws.tolist() == [[[1, 2, 3], [4, 5, 6]], [[7, 8, 9], [10, 11, 12]]]
+
+
+def test_plot_exits_2_on_a_misnumbered_samples_file(words3, tmp_path, capsys):
+    from bayesline import cli
+
+    data = tmp_path / "words3.tsv"
+    data.write_text("".join(f"{p.label}\t{p.x}\t{p.y}\n" for p in words3.points))
+    samples = tmp_path / "samples.csv"
+    samples.write_text(_HEADER + "0,7,1,2,3\n0,7,1,2,3\n0,banana,1,2,3\n1,0,1,2,3\n1,0,1,2,3\n1,0,1,2,3\n")
+    code = cli.run(["plot", str(data), "--samples", str(samples), "--out", str(tmp_path)])
+    assert code == 2
+    assert not (tmp_path / "figure1.svg").exists()
+    assert "line 4: non-numeric field 'banana'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
