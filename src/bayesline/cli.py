@@ -131,6 +131,7 @@ def _cmd_fit_bayes(ns) -> int:
     data = load_dataset_tsv(ns.dataset)
     spec = _load_model(ns.model)
     cfg = _sampler_config(ns)
+    inference.check_ensemble_size(ns.ensemble, cfg.n_chains * cfg.n_draws)
     sample = sample_hmc if cfg.algorithm == "hmc" else sample_rwm
     chains = sample(spec, data, cfg)
     out = _out_dir(ns)
@@ -149,8 +150,15 @@ def _cmd_evidence(ns) -> int:
         raise _UsageError("evidence requires exactly two --model files")
     estimates = []
     for path in ns.model:
-        spec = _load_model(path)
-        estimates.append(inference.estimate_evidence(spec, data, ns.samples, ns.seed))
+        e = inference.estimate_evidence(_load_model(path), data, ns.samples, ns.seed)
+        if e.effective_samples < inference.MIN_EVIDENCE_ESS:
+            print(
+                f"warning: the evidence of {path} rests on {e.effective_samples:.3g} effective "
+                f"prior samples (fewer than {inference.MIN_EVIDENCE_ESS}); its log evidence and "
+                "standard error cannot be trusted",
+                file=sys.stderr,
+            )
+        estimates.append(e)
     payload = {
         "models": [
             {
@@ -158,6 +166,7 @@ def _cmd_evidence(ns) -> int:
                 "log_evidence": e.log_evidence,
                 "mc_standard_error": e.mc_standard_error,
                 "n_prior_samples": e.n_prior_samples,
+                "effective_samples": e.effective_samples,
             }
             for path, e in zip(ns.model, estimates)
         ],
@@ -182,6 +191,7 @@ def _cmd_plot(ns) -> int:
     for name in ("a", "b"):
         if name not in chains.param_names:
             raise ValueError(f"{samples} has no column {name!r}")
+    inference.check_ensemble_size(ns.ensemble, chains.total_draws)
     fit = ols.ols_fit(data)
     _scatter(data, fit, out / "figure1.svg")
     _write_figures(data, chains, ns.ensemble, out)

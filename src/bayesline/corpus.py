@@ -14,6 +14,12 @@ tokens of the Unicode-letter regex; any other article keeps the regex.
 Counting runs in C: one `Counter` of occurrences and one of per-article
 word sets, with short tokens and stopwords dropped once over the distinct
 words.
+
+A `Dataset` holds finite (x, y) points only and rejects any other at
+construction. Its `stats` record holds the centred sufficient statistics
+of the line y = a*x + b (count, means, Sxx, least-squares slope, minimal
+residual sum of squares). The samplers, the evidence and least squares take
+every residual sum of squares from it, through `stats.rss(a, b)`.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ __all__ = [
     "EmptyCorpusError",
     "IngestError",
     "StopwordList",
+    "SufficientStats",
     "WordStats",
     "default_stopwords",
     "format_dataset_tsv",
@@ -135,11 +142,41 @@ class StopwordList:
         return cls(frozenset())
 
 
+class SufficientStats(NamedTuple):
+    """Centred sufficient statistics of a Dataset for the line y = a*x + b.
+
+    ``slope`` is the least-squares slope Sxy / Sxx (0.0 when every x is
+    equal) and ``rss_min`` the residual sum of squares of that fit.
+    """
+
+    m: int
+    x_mean: float
+    y_mean: float
+    sxx: float
+    slope: float
+    rss_min: float
+
+    def rss(self, a, b):
+        """Σ (y_i - a*x_i - b)² for floats, or elementwise for arrays of (a, b).
+
+        Three nonnegative terms, so no digits cancel near the optimum.
+        """
+        m, x_mean, y_mean, sxx, slope, rss_min = self
+        d = y_mean - a * x_mean - b
+        e = a - slope
+        return rss_min + sxx * e * e + m * d * d
+
+
 @dataclass(frozen=True)
 class Dataset:
-    """Ordered, labelled (x, y) observations."""
+    """Ordered, labelled (x, y) observations; every x and y is finite."""
 
     points: tuple[DataPoint, ...]
+
+    def __post_init__(self):
+        if not (np.isfinite(self.x).all() and np.isfinite(self.y).all()):
+            bad = next(p for p in self.points if not (math.isfinite(p.x) and math.isfinite(p.y)))
+            raise ValueError(f"data point {bad.label!r} is not finite: x={bad.x!r}, y={bad.y!r}")
 
     @property
     def size(self) -> int:
@@ -158,16 +195,17 @@ class Dataset:
         return tuple(p.label for p in self.points)
 
     @cached_property
-    def moments(self) -> tuple[float, float, float, float, float]:
-        """Raw sums (Σx, Σy, Σx², Σxy, Σy²) shared by the fit routines."""
+    def stats(self) -> SufficientStats:
+        """The centred sufficient statistics; needs at least one point."""
+        if self.size < 1:
+            raise ValueError("sufficient statistics need at least one observation")
         x, y = self.x, self.y
-        return (
-            float(x.sum()),
-            float(y.sum()),
-            float(x @ x),
-            float(x @ y),
-            float(y @ y),
-        )
+        x_mean = float(x.mean())
+        y_mean = float(y.mean())
+        sxx = float(((x - x_mean) ** 2).sum())
+        slope = float(((x - x_mean) * (y - y_mean)).sum()) / sxx if sxx else 0.0
+        r = slope * x + (y_mean - slope * x_mean) - y
+        return SufficientStats(self.size, x_mean, y_mean, sxx, slope, math.fsum((r * r).tolist()))
 
 
 def ingest_articles(sources: Iterable[str | Path]) -> Corpus:

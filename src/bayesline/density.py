@@ -14,11 +14,15 @@ so the unconstrained log posterior carries the change-of-variables terms
 (outside a prior's support, or an overflowed transform) evaluate to ``-inf``
 rather than raising, so samplers can treat them as automatic rejections.
 
-Summation order is pinned down so tests can assert exact decompositions:
-``log_likelihood`` is a left fold over the data points in order, and
-``log_posterior_unconstrained`` is literally
-``log_prior + log_likelihood + jacobian``. Appending a data point therefore
-changes the likelihood by exactly that point's term.
+The likelihood has two forms. ``gaussian_log_likelihood`` works from the
+dataset's centred sufficient statistics (``Dataset.stats``) in O(1): its
+residual sum of squares is ``SufficientStats.rss``, three nonnegative terms
+that lose no digits near the optimum. The samplers' target, the gradient
+and the evidence all use it, and ``log_posterior_unconstrained`` is
+literally ``log_prior + gaussian_log_likelihood + jacobian``.
+``log_likelihood`` is the per-point reference: a left fold over the data
+points in order, so appending a data point changes it by exactly that
+point's term. Tests hold both to exact rational values.
 
 The prior convention: ``b`` and ``sigma`` are positive, so a Normal prior on
 ``b`` is truncated at 0. ``log_prior`` uses the untruncated Normal density
@@ -36,11 +40,12 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import Dataset
+from .corpus import Dataset, SufficientStats
 from .modelspec import DistributionSpec, ModelSpec
 
 __all__ = [
     "ParamVector",
+    "gaussian_log_likelihood",
     "grad_log_posterior_unconstrained",
     "inverse_transform",
     "log_density_half_normal",
@@ -66,11 +71,6 @@ class ParamVector(NamedTuple):
     a: float
     b: float
     sigma: float
-
-
-# From this many points on, log_likelihood computes its terms with numpy;
-# below it the per-call overhead of numpy costs more than the Python loop.
-VECTOR_MIN_POINTS = 48
 
 
 def _safe_exp(v: float) -> float:
@@ -167,12 +167,11 @@ def log_prior(p: ParamVector, spec: ModelSpec) -> float:
 
 
 def log_likelihood(p: ParamVector, data: Dataset) -> float:
-    """Sum over observations of log N(y_i | a*x_i + b, sigma).
+    """Sum over observations of log N(y_i | a*x_i + b, sigma), point by point.
 
-    Accumulated left to right over the data points, so extending the dataset
-    by one point changes the result by exactly that point's term. From
-    VECTOR_MIN_POINTS points on, the same terms are computed with numpy and
-    folded by ``np.add.accumulate``, which gives bit-identical results.
+    The reference fold: accumulated left to right over the data points, so
+    extending the dataset by one point changes the result by exactly that
+    point's term. The samplers and the evidence use ``gaussian_log_likelihood``.
     """
     if data.size < 1:
         raise ValueError("likelihood requires at least one observation")
@@ -181,15 +180,17 @@ def log_likelihood(p: ParamVector, data: Dataset) -> float:
     a, b, sigma = p
     const = -0.5 * LOG_TWO_PI - math.log(sigma)
     inv_two_var = 1.0 / (2.0 * sigma * sigma)
-    if data.size >= VECTOR_MIN_POINTS:
-        # same per-point operations; add.accumulate is a sequential left fold
-        r = data.y - (a * data.x + b)
-        return float(np.add.accumulate(const - r * r * inv_two_var)[-1])
     total = 0.0
     for point in data.points:
         r = point.y - (a * point.x + b)
         total += const - r * r * inv_two_var
     return total
+
+
+def gaussian_log_likelihood(stats: SufficientStats, a, b, sigma, log_sigma):
+    """log_likelihood from sufficient statistics, for floats or arrays of draws."""
+    m = stats.m
+    return -0.5 * m * LOG_TWO_PI - m * log_sigma - stats.rss(a, b) / (2.0 * sigma * sigma)
 
 
 def log_posterior_unconstrained(z: Sequence[float], spec: ModelSpec, data: Dataset) -> float:
@@ -212,7 +213,8 @@ def log_posterior_unconstrained(z: Sequence[float], spec: ModelSpec, data: Datas
     lp = log_prior(p, spec)
     if lp == -math.inf:
         return -math.inf
-    return lp + log_likelihood(p, data) + (float(z[1]) + float(z[2]))
+    z_sigma = float(z[2])
+    return lp + gaussian_log_likelihood(data.stats, *p, z_sigma) + (float(z[1]) + z_sigma)
 
 
 def grad_log_posterior_unconstrained(
@@ -222,10 +224,11 @@ def grad_log_posterior_unconstrained(
 
     Derivatives on the constrained scale are chained through b = exp(z_b)
     and sigma = exp(z_sigma); each log transform contributes +1 from its
-    Jacobian term.
+    Jacobian term. The residual sums come from the sufficient statistics:
+    with r_i = y_i - (a x_i + b) and d = ȳ - a x̄ - b, Σ r_i = m d and
+    Σ r_i x_i = x̄ Σ r_i - Sxx (a - slope).
     """
-    m = data.size
-    if m < 1:
+    if data.size < 1:
         raise ValueError("posterior requires at least one observation")
     # inverse_transform inlined: this runs once per leapfrog step
     a = float(z[0])
@@ -238,10 +241,12 @@ def grad_log_posterior_unconstrained(
     # entries rather than raising; integrators treat those as rejections
     if not (math.isfinite(b) and math.isfinite(s2)) or s2 == 0.0:
         return np.full(3, math.nan)
-    sx, sy, sxx, sxy, syy = data.moments
-    r_sum = sy - a * sx - b * m  # Σ r_i with r_i = y_i - (a x_i + b)
-    rx_sum = sxy - a * sxx - b * sx
-    rr_sum = syy + a * (a * sxx - 2.0 * sxy) + b * (b * m - 2.0 * sy) + 2.0 * a * b * sx
+    m, x_mean, y_mean, sxx, slope, rss_min = data.stats
+    d = y_mean - a * x_mean - b
+    e = a - slope
+    r_sum = m * d
+    rx_sum = x_mean * r_sum - sxx * e
+    rr_sum = rss_min + sxx * e * e + r_sum * d  # SufficientStats.rss, sharing d and e
     inv_var = 1.0 / s2
     d_a = inv_var * rx_sum + _dist_score(spec.slope_prior, a)
     d_b = inv_var * r_sum + _dist_score(spec.intercept_prior, b)

@@ -5,9 +5,13 @@ is computed on split chains (each chain halved), and effective sample size
 sums autocorrelations with Geyer's initial-positive-sequence rule, using
 the between/within variance mix in the denominator so poorly mixed chains
 report small ESS. Marginal likelihoods are estimated by simple prior-sample
-Monte Carlo with a delta-method standard error on the log scale: honest and
-unbiased in probability space, and entirely adequate for three-parameter
-models.
+Monte Carlo with a delta-method standard error on the log scale, unbiased in
+probability space. The Kish effective sample size of the likelihood weights
+comes with it: when a likelihood far narrower than the prior leaves one
+draw with all the weight, it is near 1 and the estimate carries no
+information. Each draw's regression likelihood comes from the dataset's
+sufficient statistics (``Dataset.stats``), so the estimate costs
+O(n_samples) time and memory whatever the number of data points.
 
 The conjugate Normal-mean family (unknown mean, known observation noise) is
 implemented exactly; it is the reference target that samplers and evidence
@@ -24,7 +28,6 @@ import numpy as np
 
 from . import density
 from .corpus import Dataset
-from .density import LOG_TWO_PI
 from .modelspec import ModelSpec
 from .sampler import Chains
 
@@ -35,9 +38,11 @@ __all__ = [
     "DiagnosticError",
     "EvidenceEstimate",
     "LineEnsemble",
+    "MIN_EVIDENCE_ESS",
     "ParamSummary",
     "Summary",
     "bayes_factor",
+    "check_ensemble_size",
     "conjugate_posterior",
     "conjugate_update",
     "draw_line_ensemble",
@@ -91,6 +96,13 @@ class EvidenceEstimate:
     log_evidence: float
     mc_standard_error: float
     n_prior_samples: int
+    # Kish effective sample size of the likelihood weights; None when unknown
+    effective_samples: float | None = None
+
+
+# Below this many effective prior samples an evidence estimate and its
+# standard error say nothing; the CLI warns.
+MIN_EVIDENCE_ESS = 10
 
 
 @dataclass(frozen=True)
@@ -209,12 +221,17 @@ def summarize(chains: Chains) -> Summary:
     return Summary({name: _param_summary(chains, name) for name in chains.param_names})
 
 
-def _thin_indices(total: int, n: int) -> np.ndarray:
-    """Evenly spaced draw indices over the pooled sequence; deterministic."""
+def check_ensemble_size(n: int, total: int) -> None:
+    """Raise ValueError unless 1 <= n <= total, the number of stored draws."""
     if n < 1:
         raise ValueError("ensemble size must be >= 1")
     if n > total:
         raise ValueError(f"requested {n} draws but only {total} are stored")
+
+
+def _thin_indices(total: int, n: int) -> np.ndarray:
+    """Evenly spaced draw indices over the pooled sequence; deterministic."""
+    check_ensemble_size(n, total)
     stride = total // n
     return np.arange(n) * stride
 
@@ -252,7 +269,10 @@ def evidence_mc(
     ``sample_prior(rng, n)`` returns an (n, dim) matrix of prior draws and
     ``log_likelihood`` maps it to n log-likelihood values. The estimate is a
     log-mean-exp; its standard error comes from the delta method, so it is
-    only trustworthy when many samples land in the likelihood's bulk.
+    only trustworthy when many samples land in the likelihood's bulk. The
+    Kish effective sample size (Σu)²/Σu² of the weights u says how many do:
+    it is 1 when one draw holds all the weight, and then the standard error
+    tends to 1 whatever the true error is.
     """
     if n_samples < 100:
         raise ValueError("need at least 100 prior samples")
@@ -265,45 +285,30 @@ def evidence_mc(
     u = np.exp(ll - peak)
     mean_u = float(u.mean())
     se = float(u.std(ddof=1)) / (mean_u * math.sqrt(n_samples))
+    total = float(u.sum())
     return EvidenceEstimate(
         log_evidence=peak + math.log(mean_u),
         mc_standard_error=se,
         n_prior_samples=n_samples,
+        effective_samples=total * total / float(u @ u),
     )
-
-
-# Prior draws per block of estimate_evidence's residual buffer hold about
-# this many elements (512 KB), so memory stays O(block + n_samples).
-EVIDENCE_BLOCK_ELEMENTS = 1 << 16
 
 
 def estimate_evidence(
     spec: ModelSpec, data: Dataset, n_prior_samples: int, seed: int
 ) -> EvidenceEstimate:
-    """Prior-sampling estimate of the marginal data density of the regression model."""
+    """Prior-sampling estimate of the marginal data density of the regression model.
+
+    Each draw's log-likelihood comes from the dataset's sufficient
+    statistics, so memory is O(n_prior_samples) whatever the dataset size.
+    """
     if data.size < 1:
         raise ValueError("evidence requires at least one observation")
-    x = data.x
-    y = data.y
-    m = data.size
-    rows = max(1, EVIDENCE_BLOCK_ELEMENTS // m)
+    stats = data.stats
 
     def log_lik(theta: np.ndarray) -> np.ndarray:
-        n = theta.shape[0]
-        sigma = theta[:, 2]
-        # Σ r² one block of prior draws at a time, in place; each row keeps
-        # the pairwise sum it would get in the full (n, m) residual matrix
-        ss = np.empty(n)
-        buf = np.empty((min(rows, n), m))
-        for start in range(0, n, rows):
-            stop = min(start + rows, n)
-            r = buf[: stop - start]
-            np.multiply(theta[start:stop, 0:1], x, out=r)
-            np.add(r, theta[start:stop, 1:2], out=r)
-            np.subtract(y, r, out=r)
-            np.square(r, out=r)
-            r.sum(axis=1, out=ss[start:stop])
-        return -0.5 * m * LOG_TWO_PI - m * np.log(sigma) - ss / (2.0 * sigma ** 2)
+        a, b, sigma = theta.T
+        return density.gaussian_log_likelihood(stats, a, b, sigma, np.log(sigma))
 
     return evidence_mc(
         log_lik, lambda rng, n: density.sample_prior(spec, rng, n), n_prior_samples, seed

@@ -1,14 +1,15 @@
 """Closed-form ordinary least squares for the labelled (x, y) dataset.
 
-The fit minimizes the sum of squared residuals and is computed from
-centered sums (Sxy / Sxx), which is numerically stable for large word
-counts. Residuals follow the prediction-minus-observation convention:
+The fit minimizes the sum of squared residuals. Its slope, means and
+minimal residual sum of squares come from ``Dataset.stats``, the centred
+sums (Sxy / Sxx) that are numerically stable for large word counts, and
+``lse`` evaluates that record's one residual-sum-of-squares formula.
+Residuals follow the prediction-minus-observation convention:
 ``residual_i = (slope * x_i + intercept) - y_i``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .corpus import Dataset
@@ -37,29 +38,20 @@ class OlsFit:
 
 def lse(data: Dataset, a: float, b: float) -> float:
     """Sum of squared residuals of the line y = a*x + b over the dataset."""
-    if data.size < 1:
-        raise ValueError("least-squares error requires at least one observation")
-    return math.fsum((p.y - (a * p.x + b)) ** 2 for p in data.points)
+    return data.stats.rss(a, b)
 
 
 def ols_fit(data: Dataset) -> OlsFit:
-    """Least-squares slope and intercept via the normal equations."""
+    """Least-squares slope and intercept from the dataset's centred statistics."""
     if data.size < 2:
         raise InsufficientDataError(f"need at least 2 observations, got {data.size}")
-    x = data.x
-    y = data.y
-    x_mean = float(x.mean())
-    y_mean = float(y.mean())
-    sxx = float(((x - x_mean) ** 2).sum())
+    _, x_mean, y_mean, sxx, slope, rss_min = data.stats
     if sxx == 0.0:
         raise DegenerateDesignError("all x values are identical; slope is undefined")
-    sxy = float(((x - x_mean) * (y - y_mean)).sum())
-    slope = sxy / sxx
     intercept = y_mean - slope * x_mean
-    residuals = tuple((slope * p.x + intercept) - p.y for p in data.points)
     return OlsFit(
         slope=slope,
         intercept=intercept,
-        lse=math.fsum(r * r for r in residuals),
-        residuals=residuals,
+        lse=rss_min,
+        residuals=tuple((slope * data.x + intercept - data.y).tolist()),
     )

@@ -235,6 +235,73 @@ def test_plot_of_non_finite_draws_exits_2_with_line_number(dataset_tsv, tmp_path
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("ensemble, message", [
+    ("1000", "requested 1000 draws but only 400 are stored"),
+    ("0", "ensemble size must be >= 1"),
+])
+def test_fit_bayes_rejects_a_bad_ensemble_before_sampling(
+    ensemble, message, dataset_tsv, tmp_path, capsys, monkeypatch
+):
+    import bayesline.cli as cli
+
+    monkeypatch.setattr(cli, "sample_hmc", lambda *args: pytest.fail("sampled"))
+    out = tmp_path / "out"
+    argv = ["fit-bayes", str(dataset_tsv), "--draws", "100", "--warmup", "100",
+            "--ensemble", ensemble, "--out", str(out)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_plot_rejects_a_bad_ensemble_before_writing(dataset_tsv, tmp_path, capsys):
+    samples = _samples_csv(tmp_path / "samples.csv", ["a", "b", "sigma"])
+    out = tmp_path / "out"
+    argv = ["plot", str(dataset_tsv), "--samples", str(samples), "--ensemble", "21", "--out", str(out)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "requested 21 draws but only 20 are stored" in err and "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
+def _line_models(tmp_path, scales):
+    """A 10-point exact line y = 5x + 1 and one model file per slope-prior scale."""
+    data = tmp_path / "line.tsv"
+    data.write_text("".join(f"w{x}\t{x}\t{5 * x + 1}\n" for x in range(100, 1001, 100)))
+    models = []
+    for scale in scales:
+        path = tmp_path / f"a{scale}.txt"
+        path.write_text(
+            f"param a ~ Normal(5, {scale})\nparam b ~ HalfNormal(1)\n"
+            "param sigma ~ HalfNormal(1)\nlikelihood Y ~ Normal(a * X + b, sigma)\n"
+        )
+        models.append(str(path))
+    return str(data), models
+
+
+def test_evidence_reports_effective_samples_and_warns_below_the_floor(
+    dataset_tsv, model_file, tmp_path, capsys
+):
+    argv = ["evidence", str(dataset_tsv), "--model", str(model_file), "--model", str(model_file)]
+    assert run(argv) == 0
+    captured = capsys.readouterr()
+    ess = [m["effective_samples"] for m in json.loads(captured.out)["models"]]
+    assert ess[0] == ess[1] and 10 <= ess[0] <= 100_000
+    assert captured.err == ""
+
+    data, models = _line_models(tmp_path, ["0.001", "0.002"])
+    assert run(["evidence", data, "--model", models[0], "--model", models[1], "--samples", "2000"]) == 0
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    ess = [m["effective_samples"] for m in payload["models"]]
+    assert all(1 <= e < 10 for e in ess), ess
+    warnings = captured.err.splitlines()
+    assert len(warnings) == 2
+    for path, line in zip(models, warnings):
+        assert line.startswith(f"warning: the evidence of {path} rests on ")
+    assert payload["bayes_factor"] > 0
+
+
 def test_evidence_requires_two_models(dataset_tsv, model_file):
     assert run(["evidence", str(dataset_tsv), "--model", str(model_file)]) == 1
 

@@ -1,5 +1,6 @@
 import importlib.util
 import io
+import math
 import re
 import sys
 from pathlib import Path
@@ -150,6 +151,12 @@ def test_load_tsv_non_finite(line):
     with pytest.raises(DatasetParseError, match="non-finite") as err:
         load_dataset_tsv(io.StringIO(f"machine\t132\t7\n{line}"))
     assert err.value.line_no == 2
+
+
+@pytest.mark.parametrize("x, y", [(math.nan, 7.0), (132.0, math.inf), (-math.inf, 7.0)])
+def test_dataset_rejects_non_finite_values(x, y):
+    with pytest.raises(ValueError, match="'bad'"):
+        Dataset((DataPoint("machine", 132.0, 7.0), DataPoint("bad", x, y)))
 
 
 def test_default_stopwords_lowercase_common_words():

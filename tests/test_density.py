@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from scipy.integrate import quad
 from bayesline.corpus import DataPoint, Dataset
 from bayesline.density import (
     LOG_TWO_PI,
-    VECTOR_MIN_POINTS,
     ParamVector,
+    gaussian_log_likelihood,
     grad_log_posterior_unconstrained,
     inverse_transform,
     log_density_half_normal,
@@ -21,6 +22,7 @@ from bayesline.density import (
     transform,
 )
 from bayesline.modelspec import DistributionSpec, ModelSpec
+from exact_oracle import ExactSums, exact_gradient
 
 
 def test_normal_log_density_values():
@@ -103,7 +105,7 @@ def test_posterior_additivity_is_exact(words3, model):
         z = rng.normal(0, 1, 3)
         p = inverse_transform(z)
         lp = log_prior(p, model)
-        ll = log_likelihood(p, words3)
+        ll = gaussian_log_likelihood(words3.stats, p.a, p.b, p.sigma, float(z[2]))
         jac = float(z[1]) + float(z[2])
         assert log_posterior_unconstrained(z, model, words3) == lp + ll + jac
 
@@ -156,7 +158,7 @@ def _random_state(rng):
     )
 
 
-@pytest.mark.parametrize("m", [1, 3, VECTOR_MIN_POINTS - 1, VECTOR_MIN_POINTS, 1000])
+@pytest.mark.parametrize("m", [1, 3, 47, 48, 1000])
 def test_likelihood_equals_per_point_fold_exactly(m):
     rng = np.random.default_rng(m)
     data = _word_like_dataset(rng, m)
@@ -167,12 +169,83 @@ def test_likelihood_equals_per_point_fold_exactly(m):
 
 def test_appending_a_point_is_exact_across_vector_threshold():
     rng = np.random.default_rng(11)
-    full = _word_like_dataset(rng, VECTOR_MIN_POINTS)
+    full = _word_like_dataset(rng, 48)
     head = Dataset(full.points[:-1])
     for _ in range(300):
         p = _random_state(rng)
         term = log_likelihood(p, Dataset(full.points[-1:]))
         assert log_likelihood(p, full) == log_likelihood(p, head) + term
+
+
+# Exact oracles for the sufficient-statistics likelihood and gradient: word-like
+# data at several sizes, and 47 points that share one x (Sxx = 0).
+ORACLE_CASES = [1, 3, 47, 1000, "equal_x"]
+
+
+def _oracle_dataset(case):
+    if case == "equal_x":
+        data = _word_like_dataset(np.random.default_rng(7), 47)
+        return Dataset(tuple(DataPoint(p.label, 12345.0, p.y) for p in data.points))
+    return _word_like_dataset(np.random.default_rng(case), case)
+
+
+def _near_optimum_state(rng, stats):
+    """A state within a few least-squares standard errors of the fit, b folded
+    to positive and sigma near the residual scale."""
+    m, x_mean, y_mean, sxx, slope, rss_min = stats
+    # the residual scale; an exact fit (M = 1) has none, so use the data's own
+    s = math.sqrt(rss_min / m) if rss_min > 0 else abs(y_mean) + 1.0
+    closeness = 10.0 ** rng.uniform(-3, 0.5)
+    sd_a = s / math.sqrt(sxx) if sxx > 0 else s / max(abs(x_mean), 1.0)
+    a = slope + rng.normal() * closeness * sd_a
+    b = abs(y_mean - slope * x_mean + rng.normal() * closeness * s / math.sqrt(m)) + 1e-3
+    return ParamVector(a, b, s * math.exp(0.1 * rng.normal()))
+
+
+def _oracle_states(data, n=200):
+    """n states, alternately random and near the least-squares optimum; b and
+    sigma are exp(log(.)), the values the unconstrained functions see."""
+    rng = np.random.default_rng(101)
+    for k in range(n):
+        p = _near_optimum_state(rng, data.stats) if k % 2 else _random_state(rng)
+        yield inverse_transform(transform(p))
+
+
+def _within(value, truth, rel, scale=None):
+    scale = abs(truth) if scale is None else scale
+    return abs(Fraction(float(value)) - truth) <= Fraction(rel) * scale
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_rss_matches_exact_value(case):
+    data = _oracle_dataset(case)
+    exact = ExactSums(data)
+    for p in _oracle_states(data):
+        assert _within(data.stats.rss(p.a, p.b), exact.rss(p.a, p.b), 1e-12), p
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_gaussian_term_and_fold_match_exact_likelihood(case):
+    data = _oracle_dataset(case)
+    exact = ExactSums(data)
+    for p in _oracle_states(data):
+        truth, scale = exact.log_likelihood(p.a, p.b, p.sigma)
+        term = gaussian_log_likelihood(data.stats, p.a, p.b, p.sigma, math.log(p.sigma))
+        assert _within(term, truth, 1e-12, scale), p
+        assert _within(log_likelihood(p, data), truth, 1e-12, scale), p
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_gradient_matches_exact_value(case, model):
+    data = _oracle_dataset(case)
+    exact = ExactSums(data)
+    for p in _oracle_states(data):
+        g = grad_log_posterior_unconstrained(transform(p), model, data)
+        truth = exact_gradient(exact, model, p.a, p.b, p.sigma)
+        for value, t in zip(g, truth):
+            assert _within(value, t, 1e-9, max(abs(t), 1)), p
+        # d/dz_sigma balances Σr²/σ² against M near the optimum
+        assert _within(g[2], truth[2], 1e-12, max(abs(truth[2]), 1)), p
 
 
 def test_doubling_dataset_doubles_likelihood(words3):
@@ -240,7 +313,8 @@ def test_prior_score_vanishes_at_slope_prior_mean(words3):
     )
     z = transform(ParamVector(0.25, 1.0, 1.0))
     g = grad_log_posterior_unconstrained(z, spec, words3)
-    sx, _, sxx, sxy, _ = words3.moments
+    x, y = words3.x, words3.y
+    sx, sxx, sxy = float(x.sum()), float(x @ x), float(x @ y)
     data_term = (sxy - 0.25 * sxx - 1.0 * sx) / 1.0
     assert g[0] == pytest.approx(data_term, rel=1e-12)
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from bayesline.inference import (
     summarize,
 )
 from bayesline.sampler import Chains
+from exact_oracle import ExactSums
 
 
 def make_iid_chains(n_chains=4, n_draws=4000, loc=0.0, scale=1.0, seed=0):
@@ -231,6 +233,22 @@ def test_evidence_requires_samples():
         evidence_mc(log_lik, sample_prior, 99, seed=0)
 
 
+def test_evidence_effective_samples_is_the_kish_ess_of_the_weights():
+    def sample(rng, n):
+        return rng.normal(0, 1, (n, 1))
+
+    def estimate(log_lik):
+        return evidence_mc(log_lik, sample, 1000, seed=0).effective_samples
+
+    assert estimate(lambda t: np.zeros(t.shape[0])) == 1000.0
+    assert estimate(lambda t: np.where(np.arange(t.shape[0]) < 250, 0.0, -1e4)) == 250.0
+    # weights 1 and 1/2, half each: (500 + 250)² / (500 + 125)
+    halves = estimate(lambda t: np.where(np.arange(t.shape[0]) % 2, 0.0, math.log(0.5)))
+    assert halves == pytest.approx(900.0, rel=1e-12)
+    # one draw holds all the weight
+    assert estimate(lambda t: np.where(np.arange(t.shape[0]) == 3, 0.0, -1e4)) == 1.0
+
+
 def test_model_evidence_prefers_matching_model(words3, model):
     estimate = estimate_evidence(model, words3, 50_000, seed=1)
     assert math.isfinite(estimate.log_evidence)
@@ -238,7 +256,7 @@ def test_model_evidence_prefers_matching_model(words3, model):
 
 
 def _full_matrix_log_lik(theta, x, y):
-    """The (n_samples x M) residual-matrix expression estimate_evidence must match."""
+    """The (n_samples x M) residual-matrix expression estimate_evidence used to evaluate."""
     m = x.size
     a = theta[:, 0:1]
     b = theta[:, 1:2]
@@ -253,13 +271,13 @@ def _full_matrix_log_lik(theta, x, y):
 
 @pytest.mark.parametrize("m, n_samples", [(1, 70_001), (3, 50_000), (1000, 1_000), (70_000, 101)])
 def test_evidence_blocks_match_full_matrix_exactly(m, n_samples, model, monkeypatch):
+    """The evidence's log-likelihood vector, and the full residual matrix it
+    replaced, both lie within rel 1e-12 of the exact values on a fixed
+    subsample of prior draws."""
     rng = np.random.default_rng(m)
     x = 10.0 ** rng.uniform(0, 7, m)
     y = np.floor(x * 10.0 ** rng.uniform(-3, 0, m))
     data = Dataset(tuple(DataPoint(f"w{i}", float(xi), float(yi)) for i, (xi, yi) in enumerate(zip(x, y))))
-    rows = max(1, inference.EVIDENCE_BLOCK_ELEMENTS // m)
-    # several blocks, the last one short (one-row blocks at m=70000)
-    assert n_samples > rows and (rows == 1 or n_samples % rows)
     seen = {}
 
     def spy(log_lik, sample_prior, n, seed):
@@ -269,10 +287,18 @@ def test_evidence_blocks_match_full_matrix_exactly(m, n_samples, model, monkeypa
 
     monkeypatch.setattr(inference, "evidence_mc", spy)
     estimate = estimate_evidence(model, data, n_samples, seed=5)
-    reference = _full_matrix_log_lik(seen["theta"], data.x, data.y)
-    assert seen["log_lik"].tobytes() == reference.tobytes()
+    rows = np.linspace(0, n_samples - 1, 25).astype(int)
+    theta = seen["theta"][rows]
+    reference = _full_matrix_log_lik(theta, data.x, data.y)
+    exact = ExactSums(data)
+    for (a, b, sigma), value, ref in zip(theta.tolist(), seen["log_lik"][rows], reference):
+        truth, _ = exact.log_likelihood(a, b, sigma)
+        for v in (value, ref):
+            assert abs(Fraction(float(v)) - truth) <= Fraction(1e-12) * abs(truth)
     expected = evidence_mc(
-        lambda theta: _full_matrix_log_lik(theta, data.x, data.y),
+        lambda theta: density.gaussian_log_likelihood(
+            data.stats, theta[:, 0], theta[:, 1], theta[:, 2], np.log(theta[:, 2])
+        ),
         lambda g, n: density.sample_prior(model, g, n),
         n_samples,
         seed=5,

@@ -107,3 +107,39 @@ def test_insufficient_data():
 def test_degenerate_design():
     with pytest.raises(DegenerateDesignError):
         ols_fit(make([(2, 1), (2, 5), (2, 3)]))
+
+
+def _reference_ols_fit(data):
+    """ols_fit as it was before Dataset.stats, summing its own centred sums."""
+    x = data.x
+    y = data.y
+    x_mean = float(x.mean())
+    y_mean = float(y.mean())
+    sxx = float(((x - x_mean) ** 2).sum())
+    sxy = float(((x - x_mean) * (y - y_mean)).sum())
+    slope = sxy / sxx
+    intercept = y_mean - slope * x_mean
+    residuals = tuple((slope * p.x + intercept) - p.y for p in data.points)
+    return slope, intercept, math.fsum(r * r for r in residuals), residuals
+
+
+@pytest.mark.parametrize("m", [2, 3, 47, 1000])
+def test_ols_fit_equals_reference_kernel_exactly(m, words3):
+    rng = np.random.default_rng(m)
+    datasets = [words3]
+    for _ in range(20):
+        x = 10.0 ** rng.uniform(0, 7, m)
+        y = np.floor(x * 10.0 ** rng.uniform(-3, 0, m))
+        datasets.append(make(zip(x.tolist(), y.tolist())))
+    for data in datasets:
+        fit = ols_fit(data)
+        assert (fit.slope, fit.intercept, fit.lse, fit.residuals) == _reference_ols_fit(data)
+
+
+def test_stats_of_equal_x_have_zero_slope_and_centred_rss():
+    data = make([(4.0, 1.0), (4.0, 2.0), (4.0, 6.0)])
+    m, x_mean, y_mean, sxx, slope, rss_min = data.stats
+    assert (m, x_mean, y_mean, sxx, slope, rss_min) == (3, 4.0, 3.0, 0.0, 0.0, 14.0)
+    assert lse(data, 0.5, 1.0) == 14.0 + 3 * (3.0 - 2.0 - 1.0) ** 2
+    with pytest.raises(DegenerateDesignError):
+        ols_fit(data)

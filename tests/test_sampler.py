@@ -310,9 +310,7 @@ def _target(name, words3, model):
     if name == "words3":
         return _regression_target(model, words3)
     if name == "counts64":
-        data = _counts_like_dataset()
-        assert data.size >= density.VECTOR_MIN_POINTS  # the numpy likelihood branch
-        return _regression_target(model, data)
+        return _regression_target(model, _counts_like_dataset())
     log_prob, grad, _ = conjugate_target()
     return log_prob, grad, 1, std_normal_init, lambda z: z
 
