@@ -10,19 +10,27 @@ apart.
 
 ``sample_rwm`` and ``sample_hmc`` target the regression posterior in the
 unconstrained coordinates z = (a, log b, log sigma) and store draws on the
-constrained scale. The underlying kernels ``rwm_chains`` and ``hmc_chains``
-accept an arbitrary log density (plus gradient, for HMC) so that low
-dimensional targets with known answers, such as the conjugate Normal-mean
-posterior, can exercise the exact same machinery.
+constrained scale; each builds its target once per fit with
+``density.posterior_kernels``. The underlying kernels ``rwm_chains`` and
+``hmc_chains`` accept an arbitrary log density (plus gradient, for HMC) so
+that low dimensional targets with known answers, such as the conjugate
+Normal-mean posterior, can exercise the exact same machinery.
 
 The per-iteration loop holds the state and the momentum as plain Python
 float lists: at three dimensions numpy's per-call overhead costs more than
 the arithmetic. Every element sees the same IEEE operations in the same
 order as the elementwise array expressions would apply, so the draws are
-bit-identical to an ndarray implementation. ``log_prob`` and
-``grad_log_prob`` therefore receive ``z`` as a list of floats; the
-integrator updates that list in place once the gradient has returned, so a
-callable must not keep a reference to it.
+bit-identical to an ndarray implementation. ``log_prob`` and the gradient
+therefore receive ``z`` as a list of floats; the integrator updates that
+list in place once the gradient has returned, so a callable must not keep a
+reference to it.
+
+Inside the loop the gradient returns a new list of floats, which the chain
+keeps with its state: a trajectory starts from the gradient at the current
+point, so L leapfrog steps make L gradient calls, and an accepted proposal
+hands over the gradient at its end point. The regression kernel returns a
+list already; ``hmc_chains`` takes a gradient that returns an ndarray and
+adapts it with one ``.tolist()`` per call.
 
 HMC uses a leapfrog integrator with a fixed step count; the step size is
 adapted during warmup by the dual-averaging scheme of Hoffman & Gelman
@@ -213,11 +221,14 @@ class _DualAveraging:
         return math.exp(self.log_eps_bar)
 
 
-def _leapfrog(z, p, eps, n_steps, grad):
-    """``n_steps`` leapfrog steps on float lists; None if a gradient is not finite.
+def _leapfrog(z, p, g, eps, n_steps, grad):
+    """``n_steps`` leapfrog steps on float lists, from z with g the gradient at z.
 
-    Each momentum update and the position update after it share one pass
-    over the coordinates; per coordinate the operations are the textbook
+    Returns ``(z, p, g)`` at the end of the trajectory, g being the gradient
+    there, or None if a gradient is not finite. That makes ``n_steps``
+    gradient calls: the gradient at the start comes with the state. Each
+    momentum update and the position update after it share one pass over
+    the coordinates; per coordinate the operations are the textbook
     ``p_i + h * g_i`` then ``z_i + eps * p_i``, with h = 0.5 * eps for the
     first and last half steps.
     """
@@ -228,7 +239,6 @@ def _leapfrog(z, p, eps, n_steps, grad):
     coords = range(len(z))
     h = half
     for _ in range(n_steps):
-        g = grad(z).tolist()
         for i in coords:
             gi = g[i]
             if not isfinite(gi):
@@ -237,13 +247,13 @@ def _leapfrog(z, p, eps, n_steps, grad):
             p[i] = pi
             z[i] = z[i] + eps * pi
         h = eps
-    g = grad(z).tolist()
+        g = grad(z)
     for i in coords:
         gi = g[i]
         if not isfinite(gi):
             return None
         p[i] = p[i] + half * gi
-    return z, p
+    return z, p, g
 
 
 def _kinetic(p) -> float:
@@ -257,6 +267,7 @@ def _kinetic(p) -> float:
 def _hmc_chain(log_prob, grad, cfg: SamplerConfig, init, constrain, stream):
     rng = np.random.default_rng(stream)
     z, lp = _find_start(log_prob, init, rng)
+    g = grad(z)
     dim = len(z)
     eps = cfg.hmc_step
     adapt = _DualAveraging(eps, cfg.target_accept)
@@ -271,18 +282,18 @@ def _hmc_chain(log_prob, grad, cfg: SamplerConfig, init, constrain, stream):
         # length has on near-Gaussian targets
         eps_it = eps * (0.9 + 0.2 * rng.random())
         h0 = -lp + _kinetic(p0)
-        result = _leapfrog(z, p0, eps_it, cfg.hmc_leapfrog, grad)
+        result = _leapfrog(z, p0, g, eps_it, cfg.hmc_leapfrog, grad)
         if result is None:
             delta = math.inf
         else:
-            z_new, p_new = result
+            z_new, p_new, g_new = result
             lp_new = _finite(log_prob(z_new))
             delta = (-lp_new + _kinetic(p_new)) - h0
         diverged = not math.isfinite(delta) or abs(delta) > DIVERGENCE_DELTA
         alpha = 0.0 if diverged else min(1.0, math.exp(min(-delta, 0.0)))
         took = not diverged and _accepts(rng, -delta)
         if took:
-            z, lp = z_new, lp_new
+            z, lp, g = z_new, lp_new, g_new
         if it < cfg.n_warmup:
             if it == restart_at and it > 0:
                 adapt = _DualAveraging(eps, cfg.target_accept)
@@ -341,6 +352,11 @@ def rwm_chains(
     return _run(lambda s: _rwm_chain(log_prob, cfg, init, constrain, s), cfg, param_names)
 
 
+def _hmc(log_prob, grad, cfg: SamplerConfig, init, param_names, constrain) -> Chains:
+    cfg = replace(cfg, algorithm="hmc")
+    return _run(lambda s: _hmc_chain(log_prob, grad, cfg, init, constrain, s), cfg, param_names)
+
+
 def hmc_chains(
     log_prob: LogProb,
     grad_log_prob: GradLogProb,
@@ -350,11 +366,14 @@ def hmc_chains(
     param_names: Sequence[str],
     constrain: Callable[[Sequence[float]], np.ndarray] | None = None,
 ) -> Chains:
-    """Hamiltonian Monte Carlo on an arbitrary differentiable log density."""
+    """Hamiltonian Monte Carlo on an arbitrary differentiable log density.
+
+    ``grad_log_prob`` returns an ndarray; one ``.tolist()`` per call turns it
+    into the float list the integrator works on.
+    """
     constrain = constrain if constrain is not None else lambda z: z
-    cfg = replace(cfg, algorithm="hmc")
-    return _run(
-        lambda s: _hmc_chain(log_prob, grad_log_prob, cfg, init, constrain, s), cfg, param_names
+    return _hmc(
+        log_prob, lambda z: grad_log_prob(z).tolist(), cfg, init, param_names, constrain
     )
 
 
@@ -372,28 +391,24 @@ def _prior_init(spec: ModelSpec):
 _PARAM_NAMES = ("a", "b", "sigma")
 
 
-def _constrain(z: Sequence[float]) -> np.ndarray:
-    return np.asarray(density.inverse_transform(z), dtype=float)
+def _constrain(z: Sequence[float]) -> tuple[float, float, float]:
+    """(a, b, sigma) of a stored state, as ``density.inverse_transform`` maps it.
+
+    Only states with a finite log density are stored, so b and sigma are
+    finite there and ``exp`` cannot overflow.
+    """
+    return z[0], math.exp(z[1]), math.exp(z[2])
 
 
 def sample_rwm(spec: ModelSpec, data: Dataset, cfg: SamplerConfig) -> Chains:
     """Sample the regression posterior by random-walk Metropolis."""
+    logp, _ = density.posterior_kernels(spec, data)
     return rwm_chains(
-        lambda z: density.log_posterior_unconstrained(z, spec, data),
-        cfg,
-        init=_prior_init(spec),
-        param_names=_PARAM_NAMES,
-        constrain=_constrain,
+        logp, cfg, init=_prior_init(spec), param_names=_PARAM_NAMES, constrain=_constrain
     )
 
 
 def sample_hmc(spec: ModelSpec, data: Dataset, cfg: SamplerConfig) -> Chains:
     """Sample the regression posterior by Hamiltonian Monte Carlo."""
-    return hmc_chains(
-        lambda z: density.log_posterior_unconstrained(z, spec, data),
-        lambda z: density.grad_log_posterior_unconstrained(z, spec, data),
-        cfg,
-        init=_prior_init(spec),
-        param_names=_PARAM_NAMES,
-        constrain=_constrain,
-    )
+    logp, grad = density.posterior_kernels(spec, data)
+    return _hmc(logp, grad, cfg, _prior_init(spec), _PARAM_NAMES, _constrain)

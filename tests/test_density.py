@@ -1,4 +1,5 @@
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -19,10 +20,12 @@ from bayesline.density import (
     log_likelihood,
     log_posterior_unconstrained,
     log_prior,
+    posterior_kernels,
     transform,
 )
 from bayesline.modelspec import DistributionSpec, ModelSpec
 from exact_oracle import ExactSums, exact_gradient
+import reference_density
 
 
 def test_normal_log_density_values():
@@ -336,3 +339,110 @@ def test_posterior_is_minus_inf_where_the_variance_underflows(model, words3):
     # sigma = exp(-400) is positive, but 2 * sigma**2 underflows to 0
     for z in ([0.0, 0.0, -400.0], np.array([0.0, 0.0, -400.0])):
         assert log_posterior_unconstrained(z, model, words3) == -math.inf
+
+
+# The kernels against the verbatim pre-kernel functions of reference_density,
+# bit for bit: packed doubles compare -0.0, NaN and -inf exactly.
+_TINY, _HUGE = 1.5e-154, 9.48e153  # prior scales at modelspec's limits
+KERNEL_MODELS = {
+    "default": ModelSpec(
+        DistributionSpec.normal(0.0, 1.0),
+        DistributionSpec.half_normal(1.0),
+        DistributionSpec.half_normal(1.0),
+    ),
+    "halfnormal_slope": ModelSpec(
+        DistributionSpec.half_normal(1.0),
+        DistributionSpec.half_normal(1.0),
+        DistributionSpec.half_normal(1.0),
+    ),
+    "normal_intercept": ModelSpec(
+        DistributionSpec.normal(0.0, 1.0),
+        DistributionSpec.normal(2.0, 3.0),
+        DistributionSpec.half_normal(1.0),
+    ),
+    "tiny_scales": ModelSpec(
+        DistributionSpec.normal(0.0, _TINY),
+        DistributionSpec.normal(0.0, _TINY),
+        DistributionSpec.half_normal(_TINY),
+    ),
+    "huge_scales": ModelSpec(
+        DistributionSpec.normal(1e3, _HUGE),
+        DistributionSpec.half_normal(_HUGE),
+        DistributionSpec.half_normal(_HUGE),
+    ),
+}
+
+
+def _bits(v):
+    return struct.pack("<d", v)
+
+
+def _kernel_states(data):
+    """A random grid, states near the least-squares fit, and the edges: z_b or
+    z_sigma past exp's range, sigma² or b underflowing to 0, ±inf and NaN."""
+    rng = np.random.default_rng(5)
+    states = []
+    for _ in range(150):
+        states.append([float(rng.normal() * 10.0 ** rng.uniform(-4, 1)), *rng.uniform(-8, 8, 2)])
+    for _ in range(150):
+        p = _near_optimum_state(rng, data.stats)
+        states.append([p.a, math.log(p.b), math.log(p.sigma)])
+    slope = data.stats.slope
+    for a in (-math.inf, -1.0, -1e-3, -0.0, 0.0, slope, 1.0, math.inf, math.nan):
+        for z_b in (-800.0, -745.5, -20.0, -0.0, 0.0, 2.0, 709.0, 709.5, math.inf, math.nan):
+            for z_sigma in (-800.0, -373.5, -372.4, -354.0, -20.0, 0.0, 1.5, 709.0, 709.5, 800.0,
+                            -math.inf, math.inf, math.nan):
+                states.append([a, z_b, z_sigma])
+    return [[float(v) for v in z] for z in states]
+
+
+@pytest.mark.parametrize("model_name", list(KERNEL_MODELS))
+@pytest.mark.parametrize("case", [1, 3, 1000, "equal_x"])
+def test_kernels_match_reference_functions_bit_for_bit(case, model_name):
+    spec, data = KERNEL_MODELS[model_name], _oracle_dataset(case)
+    logp, grad = posterior_kernels(spec, data)
+    for z in _kernel_states(data):
+        want = reference_density.log_posterior_unconstrained(z, spec, data)
+        assert _bits(logp(z)) == _bits(want), z
+        assert _bits(log_posterior_unconstrained(np.array(z), spec, data)) == _bits(want), z
+        want_g = reference_density.grad_log_posterior_unconstrained(z, spec, data)
+        g = grad(z)
+        assert type(g) is list and [_bits(v) for v in g] == [_bits(v) for v in want_g], z
+        wrapped = grad_log_posterior_unconstrained(np.array(z), spec, data)
+        assert wrapped.dtype == want_g.dtype and wrapped.tobytes() == want_g.tobytes(), z
+
+
+def test_prior_densities_match_reference_functions_bit_for_bit():
+    """The public densities and log_prior, which now evaluate _log_prior_term."""
+    xs = (-math.inf, -1e300, -2.0, -1e-300, -0.0, 0.0, 1e-300, 0.5, 1.0, 3.0, 1e300, math.inf,
+          math.nan)
+    for x in xs:
+        for scale in (_TINY, 1e-3, 1.0, 3.0, _HUGE):
+            for mu in (-2.0, 0.0, 2.0, 1e3):
+                got = log_density_normal(x, mu, scale)
+                assert _bits(got) == _bits(reference_density.log_density_normal(x, mu, scale))
+            got = log_density_half_normal(x, scale)
+            assert _bits(got) == _bits(reference_density.log_density_half_normal(x, scale))
+    for spec in KERNEL_MODELS.values():
+        for z in _kernel_states(_oracle_dataset(3)):
+            p = reference_density.inverse_transform(z)
+            assert _bits(log_prior(p, spec)) == _bits(reference_density.log_prior(p, spec)), z
+
+
+def test_kernel_states_reach_every_branch():
+    """The states above hit the early returns and the HalfNormal support edge."""
+    spec, data = KERNEL_MODELS["halfnormal_slope"], _oracle_dataset("equal_x")
+    logp, grad = posterior_kernels(spec, data)
+    values = [logp(z) for z in _kernel_states(data)]
+    assert any(v == -math.inf for v in values)
+    assert any(math.isnan(v) for v in values)
+    assert any(math.isfinite(v) for v in values)
+    assert any(math.isnan(g[0]) for g in map(grad, _kernel_states(data)))
+    assert logp([-1.0, 0.0, 0.0]) == -math.inf  # a < 0 is outside the slope prior's support
+
+
+def test_kernels_require_data(model):
+    with pytest.raises(ValueError):
+        posterior_kernels(model, Dataset(()))
+    with pytest.raises(ValueError):
+        grad_log_posterior_unconstrained(np.zeros(3), model, Dataset(()))

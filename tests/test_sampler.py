@@ -4,9 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bayesline import density, sampler
+import reference_density
+from bayesline import sampler
 from bayesline.corpus import DataPoint, Dataset
 from bayesline.inference import ConjugateNormalState, ess, sequential_update
+from bayesline.modelspec import DistributionSpec
 from bayesline.sampler import (
     InitializationError,
     SamplerConfig,
@@ -287,13 +289,17 @@ def _ref_hmc_chain(log_prob, grad, cfg, dim, init, constrain, stream):
 
 
 def _regression_target(spec, data):
-    return (
-        lambda z: density.log_posterior_unconstrained(z, spec, data),
-        lambda z: density.grad_log_posterior_unconstrained(z, spec, data),
+    """The reference chains' target: the verbatim pre-kernel density functions,
+    ndarray in and out; the run under test is the public sampler."""
+    reference = (
+        lambda z: reference_density.log_posterior_unconstrained(z, spec, data),
+        lambda z: reference_density.grad_log_posterior_unconstrained(z, spec, data),
         3,
         sampler._prior_init(spec),
-        sampler._constrain,
+        lambda z: np.asarray(reference_density.inverse_transform(z), dtype=float),
     )
+    runs = {"hmc": sample_hmc, "rwm": sample_rwm}
+    return reference, lambda kind, cfg: runs[kind](spec, data, cfg)
 
 
 def _counts_like_dataset(m=64):
@@ -311,16 +317,29 @@ def _target(name, words3, model):
         return _regression_target(model, words3)
     if name == "counts64":
         return _regression_target(model, _counts_like_dataset())
+    if name == "halfnormal_slope":
+        spec = replace(model, slope_prior=DistributionSpec.half_normal(1.0))
+        return _regression_target(spec, words3)
+    if name == "normal_intercept":
+        spec = replace(model, intercept_prior=DistributionSpec.normal(2.0, 3.0))
+        return _regression_target(spec, words3)
     log_prob, grad, _ = conjugate_target()
-    return log_prob, grad, 1, std_normal_init, lambda z: z
+
+    def run(kind, cfg):
+        if kind == "rwm":
+            return rwm_chains(log_prob, cfg, init=std_normal_init, param_names=("mu",))
+        return hmc_chains(log_prob, grad, cfg, init=std_normal_init, param_names=("mu",))
+
+    return (log_prob, grad, 1, std_normal_init, lambda z: z), run
 
 
 EXACT_CFG = SamplerConfig(n_chains=3, n_draws=300, n_warmup=200, seed=9)
+TARGETS = ["words3", "counts64", "conjugate", "halfnormal_slope", "normal_intercept"]
 
 
-@pytest.mark.parametrize("target", ["words3", "counts64", "conjugate"])
+@pytest.mark.parametrize("target", TARGETS)
 def test_hmc_chain_matches_ndarray_reference_exactly(target, words3, model):
-    log_prob, grad, dim, init, constrain = _target(target, words3, model)
+    (log_prob, grad, dim, init, constrain), run = _target(target, words3, model)
     overflowed = 0
 
     def counted_grad(z):
@@ -329,23 +348,23 @@ def test_hmc_chain_matches_ndarray_reference_exactly(target, words3, model):
         overflowed += not np.all(np.isfinite(g))
         return g
 
+    new = run("hmc", EXACT_CFG)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(EXACT_CFG.n_chains):
             stream = sampler._stream_id(EXACT_CFG.seed, k)
-            new = sampler._hmc_chain(log_prob, counted_grad, EXACT_CFG, init, constrain, stream)
             ref = _ref_hmc_chain(log_prob, counted_grad, EXACT_CFG, dim, init, constrain, stream)
-            assert np.array_equal(new[0], ref[0])
-            assert new[1] == ref[1]
-            assert new[2] == ref[2]
+            assert np.array_equal(new.draws[k], ref[0])
+            assert new.accept_rates[k] == ref[1]
+            assert new.divergences[k] == ref[2]
     if target == "counts64":
         # warmup's long steps overflow the gradient at x ~ 1e6: those
         # trajectories are divergences that steer the step-size adaptation
         assert overflowed > 0
 
 
-@pytest.mark.parametrize("target", ["words3", "counts64", "conjugate"])
+@pytest.mark.parametrize("target", TARGETS)
 def test_rwm_chain_matches_ndarray_reference_exactly(target, words3, model):
-    log_prob, _, dim, init, constrain = _target(target, words3, model)
+    (log_prob, _, dim, init, constrain), run = _target(target, words3, model)
     rejected_outright = 0
 
     def counted_log_prob(z):
@@ -357,13 +376,13 @@ def test_rwm_chain_matches_ndarray_reference_exactly(target, words3, model):
     # the long step sends z_b or z_sigma past exp's range, so some proposals
     # have no density at all and draw no uniform
     for cfg in (EXACT_CFG, replace(EXACT_CFG, rwm_step=400.0)):
+        new = run("rwm", cfg)
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(cfg.n_chains):
                 stream = sampler._stream_id(cfg.seed, k)
-                new = sampler._rwm_chain(counted_log_prob, cfg, init, constrain, stream)
                 ref = _ref_rwm_chain(counted_log_prob, cfg, dim, init, constrain, stream)
-                assert np.array_equal(new[0], ref[0])
-                assert new[1] == ref[1]
+                assert np.array_equal(new.draws[k], ref[0])
+                assert new.accept_rates[k] == ref[1]
     if target != "conjugate":
         assert rejected_outright > 0
 
@@ -383,10 +402,29 @@ def test_leapfrog_matches_ndarray_reference_on_extreme_gradients(g):
 
     z, p = [0.1, -0.2, 0.3], [0.5, 1.5, -1.0]
     with np.errstate(over="ignore", invalid="ignore"):
-        new = sampler._leapfrog(z, p, 0.3, 4, grad)
+        new = sampler._leapfrog(z, p, grad(z).tolist(), 0.3, 4, lambda z: grad(z).tolist())
         ref = _ref_leapfrog(np.array(z), np.array(p), 0.3, 4, grad)
     if ref is None:
         assert new is None
     else:
         assert np.array_equal(new[0], ref[0], equal_nan=True)
         assert np.array_equal(new[1], ref[1], equal_nan=True)
+        # the gradient at the end point comes back for the next trajectory
+        assert np.array_equal(new[2], grad(ref[0]), equal_nan=True)
+
+
+def test_hmc_reuses_the_gradient_at_the_current_state():
+    """A trajectory of L steps calls the gradient L times: the gradient at its
+    start comes from the start point or the last accepted trajectory."""
+    log_prob, grad, _ = conjugate_target()
+    calls = 0
+
+    def counted_grad(z):
+        nonlocal calls
+        calls += 1
+        return grad(z)
+
+    cfg = SamplerConfig(n_chains=1, n_draws=300, n_warmup=200, seed=4, hmc_leapfrog=7)
+    chains = hmc_chains(log_prob, counted_grad, cfg, init=std_normal_init, param_names=("mu",))
+    assert 0.0 < chains.accept_rates[0] < 1.0
+    assert calls == (cfg.n_warmup + cfg.n_draws) * cfg.hmc_leapfrog + 1
