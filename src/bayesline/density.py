@@ -24,23 +24,25 @@ changes it by exactly that point's term. Tests hold both to exact rational
 values.
 
 The unconstrained log posterior and its gradient have one implementation,
-``posterior_kernels(spec, data)``: two closures, built once per fit, that
+``posterior_kernels(spec, data)``: three closures, built once per fit, that
 read the sufficient statistics and the priors' constants from their
 enclosing scope and take and return plain float lists. The log posterior
 is ``log_prior + gaussian_log_likelihood + jacobian`` in that order; its
 prior terms and ``log_prior`` share one body, ``_log_prior_term``, which
-the public Normal and HalfNormal densities also evaluate.
-``log_posterior_unconstrained`` and ``grad_log_posterior_unconstrained``
-are thin wrappers for a single state, the second returning an ndarray.
-Each call builds the one closure it needs, so a loop over many states
-should build the kernels once instead.
+the public Normal and HalfNormal densities also evaluate. The gradient has
+one body too, inside ``trajectory``, HMC's leapfrog integrator for this
+target: the step loop evaluates it inline, and ``grad`` enters the same
+body without moving. ``log_posterior_unconstrained`` and
+``grad_log_posterior_unconstrained`` are thin wrappers for a single state,
+the second returning an ndarray. Each call builds the one closure it
+needs, so a loop over many states should build the kernels once instead.
 
 The prior convention: ``b`` and ``sigma`` are positive, so a Normal prior on
 ``b`` is truncated at 0. ``log_prior`` uses the untruncated Normal density
 for it; that differs from the truncated, renormalised density by a constant,
 which MCMC never sees. ``sample_prior`` draws from the truncated,
 renormalised prior, which is what the evidence estimate and the samplers'
-starting points need. Prior scales lie in about [1.5e-154, 9.5e153] (see
+starting points need. Prior scales lie in [1.5e-154, 9.48e153] (see
 ``modelspec``), so every density here can divide by their squares.
 """
 
@@ -254,65 +256,95 @@ def _logp_kernel(spec: ModelSpec, data: Dataset) -> Callable[[list[float]], floa
     return logp
 
 
-def _grad_kernel(spec: ModelSpec, data: Dataset) -> Callable[[list[float]], list[float]]:
+def _trajectory_kernel(spec: ModelSpec, data: Dataset) -> Callable:
     _require_data(data)
     m, x_mean, y_mean, sxx, slope, rss_min = data.stats
     a_half, a_loc, a_var, _, _ = _prior_constants(spec.slope_prior)
     b_half, b_loc, b_var, _, _ = _prior_constants(spec.intercept_prior)
     s_half, s_loc, s_var, _, _ = _prior_constants(spec.noise_prior)
-    exp, isfinite, inf, nan = math.exp, math.isfinite, math.inf, math.nan
+    exp, inf, nan = math.exp, math.inf, math.nan
+
+    def trajectory(z, p, g, eps, n_steps):
+        za, zb, zs = z
+        moving = p is not None
+        if moving:
+            pa, pb, ps = p
+            ga, gb, gs = g
+        half = 0.5 * eps
+        h = half
+        # with no momentum, one pass that only evaluates the gradient at z
+        for _ in range(n_steps if moving else 1):
+            if moving:
+                # the step uses every gradient entry: one that is not
+                # finite ends the trajectory (g < inf is False for NaN)
+                if not (-inf < ga < inf and -inf < gb < inf and -inf < gs < inf):
+                    return None
+                pa = pa + h * ga
+                za = za + eps * pa
+                pb = pb + h * gb
+                zb = zb + eps * pb
+                ps = ps + h * gs
+                zs = zs + eps * ps
+                h = eps
+            # the gradient at (za, zb, zs)
+            b = inf if zb > _EXP_MAX else exp(zb)
+            sigma = inf if zs > _EXP_MAX else exp(zs)
+            s2 = sigma * sigma
+            # extreme states (overflowed/underflowed transforms) yield NaN
+            # entries rather than raising; b >= 0 and s2 >= 0 unless NaN
+            if not (b < inf and 0.0 < s2 < inf):
+                ga = gb = gs = nan
+                continue
+            d = y_mean - za * x_mean - b
+            e = za - slope
+            r_sum = m * d
+            rx_sum = x_mean * r_sum - sxx * e
+            rr_sum = rss_min + sxx * e * e + r_sum * d  # SufficientStats.rss, sharing d and e
+            inv_var = 1.0 / s2
+            # each prior's score, d/dx of its log density: 0 outside a
+            # HalfNormal's support, where the density is -inf. Written out: a
+            # helper call per score adds about a tenth to a step's time.
+            if a_half:
+                score = 0.0 if za < 0 else -za / a_var
+            else:
+                score = -(za - a_loc) / a_var
+            ga = inv_var * rx_sum + score
+            if b_half:
+                score = 0.0 if b < 0 else -b / b_var
+            else:
+                score = -(b - b_loc) / b_var
+            gb = (inv_var * r_sum + score) * b + 1.0
+            if s_half:
+                score = 0.0 if sigma < 0 else -sigma / s_var
+            else:
+                score = -(sigma - s_loc) / s_var
+            gs = (rr_sum * inv_var / sigma - m / sigma + score) * sigma + 1.0
+        if not moving:
+            return [ga, gb, gs]
+        if not (-inf < ga < inf and -inf < gb < inf and -inf < gs < inf):
+            return None
+        return [za, zb, zs], [pa + half * ga, pb + half * gb, ps + half * gs], [ga, gb, gs]
+
+    return trajectory
+
+
+def posterior_kernels(spec: ModelSpec, data: Dataset) -> tuple[Callable, Callable, Callable]:
+    """The log posterior, its gradient and HMC's leapfrog, as closures over one fit.
+
+    Returns ``(logp, grad, trajectory)``. Each takes z = (a, log b, log sigma)
+    as three floats; the statistics and the priors' constants are read once,
+    here. ``logp`` evaluates ``_log_prior_term`` and ``gaussian_log_likelihood``,
+    as ``log_prior`` and the evidence do. ``trajectory(z, p, g, eps, n_steps)``
+    is ``sampler._leapfrog`` for this target, bit for bit, with the gradient
+    inline in the step loop. ``grad(z)`` enters the same body without moving
+    and returns the gradient at z as a list.
+    """
+    trajectory = _trajectory_kernel(spec, data)
 
     def grad(z):
-        a, z_b, z_sigma = z
-        b = inf if z_b > _EXP_MAX else exp(z_b)
-        sigma = inf if z_sigma > _EXP_MAX else exp(z_sigma)
-        s2 = sigma * sigma
-        # extreme states (overflowed/underflowed transforms) yield non-finite
-        # entries rather than raising; integrators treat those as rejections
-        if not (isfinite(b) and isfinite(s2)) or s2 == 0.0:
-            return [nan, nan, nan]
-        d = y_mean - a * x_mean - b
-        e = a - slope
-        r_sum = m * d
-        rx_sum = x_mean * r_sum - sxx * e
-        rr_sum = rss_min + sxx * e * e + r_sum * d  # SufficientStats.rss, sharing d and e
-        inv_var = 1.0 / s2
-        # each prior's score, d/dx of its log density: 0 outside a
-        # HalfNormal's support, where the density is -inf. Written out: a
-        # helper call per score adds about a tenth to this call's time.
-        if a_half:
-            score = 0.0 if a < 0 else -a / a_var
-        else:
-            score = -(a - a_loc) / a_var
-        d_a = inv_var * rx_sum + score
-        if b_half:
-            score = 0.0 if b < 0 else -b / b_var
-        else:
-            score = -(b - b_loc) / b_var
-        d_b = inv_var * r_sum + score
-        if s_half:
-            score = 0.0 if sigma < 0 else -sigma / s_var
-        else:
-            score = -(sigma - s_loc) / s_var
-        d_sigma = rr_sum * inv_var / sigma - m / sigma + score
-        return [d_a, d_b * b + 1.0, d_sigma * sigma + 1.0]
+        return trajectory(z, None, None, 0.0, 0)
 
-    return grad
-
-
-def posterior_kernels(
-    spec: ModelSpec, data: Dataset
-) -> tuple[Callable[[list[float]], float], Callable[[list[float]], list[float]]]:
-    """The unconstrained log posterior and its gradient, as closures over one fit.
-
-    Returns ``(logp, grad)``. Both take z = (a, log b, log sigma) as a list
-    of three floats; ``logp`` returns a float and ``grad`` a new list of
-    three floats. The dataset's sufficient statistics and each prior's
-    constants are read once, here. ``logp`` evaluates ``_log_prior_term``
-    for each prior and then ``gaussian_log_likelihood``, the same functions
-    ``log_prior`` and the evidence use.
-    """
-    return _logp_kernel(spec, data), _grad_kernel(spec, data)
+    return _logp_kernel(spec, data), grad, trajectory
 
 
 def _floats(z: Sequence[float]) -> list[float]:
@@ -338,8 +370,8 @@ def grad_log_posterior_unconstrained(
     and sigma = exp(z_sigma); each log transform contributes +1 from its
     Jacobian term. The residual sums come from the sufficient statistics:
     with r_i = y_i - (a x_i + b) and d = ȳ - a x̄ - b, Σ r_i = m d and
-    Σ r_i x_i = x̄ Σ r_i - Sxx (a - slope). Evaluated by the ``grad``
-    closure of ``posterior_kernels``; all three entries are NaN where b or
-    sigma² overflows or sigma² underflows.
+    Σ r_i x_i = x̄ Σ r_i - Sxx (a - slope). Evaluated by the trajectory
+    closure of ``posterior_kernels`` without moving; all three entries are
+    NaN where b or sigma² overflows or sigma² underflows.
     """
-    return np.array(_grad_kernel(spec, data)(_floats(z)))
+    return np.array(_trajectory_kernel(spec, data)(_floats(z), None, None, 0.0, 0))

@@ -14,7 +14,6 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Sequence
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -39,6 +38,12 @@ _MARGIN_TOP = 16.0
 _MARGIN_BOTTOM = 44.0
 _N_TICKS = 5
 _READ_BLOCK_ROWS = 4096
+
+
+def _escape(text: str) -> str:
+    """``xml.sax.saxutils.escape``: & first, then > and <. Importing saxutils
+    also imports urllib.request, http.client and email at every CLI start."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 @dataclass(frozen=True)
@@ -219,7 +224,7 @@ def _axes(frame: _Frame, x_label: str, y_label: str) -> list[str]:
         )
         parts.append(
             f'<text x="{_px(xp)}" y="{_px(frame.bottom + 18)}" font-size="11" '
-            f'text-anchor="middle">{escape(f"{xv:.4g}")}</text>'
+            f'text-anchor="middle">{_escape(f"{xv:.4g}")}</text>'
         )
         yv = frame.y_lo + t * (frame.y_hi - frame.y_lo)
         yp = frame.y(yv)
@@ -229,17 +234,17 @@ def _axes(frame: _Frame, x_label: str, y_label: str) -> list[str]:
         )
         parts.append(
             f'<text x="{_px(frame.left - 8)}" y="{_px(yp + 4)}" font-size="11" '
-            f'text-anchor="end">{escape(f"{yv:.4g}")}</text>'
+            f'text-anchor="end">{_escape(f"{yv:.4g}")}</text>'
         )
     mid_x = (frame.left + frame.right) / 2
     mid_y = (frame.top + frame.bottom) / 2
     parts.append(
         f'<text x="{_px(mid_x)}" y="{_px(frame.bottom + 36)}" font-size="13" '
-        f'text-anchor="middle">{escape(x_label)}</text>'
+        f'text-anchor="middle">{_escape(x_label)}</text>'
     )
     parts.append(
         f'<text x="14" y="{_px(mid_y)}" font-size="13" text-anchor="middle" '
-        f'transform="rotate(-90 14 {_px(mid_y)})">{escape(y_label)}</text>'
+        f'transform="rotate(-90 14 {_px(mid_y)})">{_escape(y_label)}</text>'
     )
     return parts
 
@@ -303,7 +308,7 @@ def render_scatter_svg(
         )
         parts.append(
             f'<text x="{_px(cx + plot.point_radius + 2)}" y="{_px(cy - 4)}" '
-            f'font-size="10">{escape(point.label)}</text>'
+            f'font-size="10">{_escape(point.label)}</text>'
         )
     parts.append("</svg>")
     _write_text(sink, "\n".join(parts) + "\n")
@@ -357,7 +362,7 @@ def render_marginals_svg(
         )
         parts.append(
             f'<text x="{_px((left + right) / 2)}" y="{_px(bottom + 18)}" font-size="13" '
-            f'text-anchor="middle">{escape(name)}</text>'
+            f'text-anchor="middle">{_escape(name)}</text>'
         )
     parts.append("</svg>")
     _write_text(sink, "\n".join(parts) + "\n")

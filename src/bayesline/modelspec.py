@@ -13,8 +13,9 @@ starting a comment:
 All three parameters and the likelihood must be declared; there are no
 silent defaults. ``sigma`` must use a HalfNormal prior because the noise
 scale has to be positive. A scale must be positive, with a square that is
-a normal float and a doubled square that is finite: about 1.5e-154 to
-9.5e153, so the densities can divide by both. Every parse failure carries a
+a normal float and a doubled square that is finite, so the densities can
+divide by both. Every scale in [1.5e-154, 9.48e153] passes; the exact
+limits are about 1.4917e-154 and 9.4808e153. Every parse failure carries a
 1-based line and column.
 """
 
@@ -83,7 +84,7 @@ class LikelihoodError(ModelSpecError):
     """The likelihood statement is missing, duplicated, or malformed."""
 
 
-_SCALE_RANGE = "scale must be positive and lie in about [1.5e-154, 9.5e153]"
+_SCALE_RANGE = "scale must be positive and lie in [1.5e-154, 9.48e153]"
 
 
 def _scale_ok(scale: float) -> bool:

@@ -25,12 +25,13 @@ therefore receive ``z`` as a list of floats; the integrator updates that
 list in place once the gradient has returned, so a callable must not keep a
 reference to it.
 
-Inside the loop the gradient returns a new list of floats, which the chain
-keeps with its state: a trajectory starts from the gradient at the current
-point, so L leapfrog steps make L gradient calls, and an accepted proposal
-hands over the gradient at its end point. The regression kernel returns a
-list already; ``hmc_chains`` takes a gradient that returns an ndarray and
-adapts it with one ``.tolist()`` per call.
+The HMC chain loop evaluates the gradient once, at its start, and then
+calls a trajectory ``(z, p, g, eps, n_steps) -> (z, p, g) or None`` that
+returns the gradient at its end point, so L leapfrog steps evaluate the
+gradient L times. ``hmc_chains`` passes ``_leapfrog``, the generic
+integrator, bound to its gradient adapted with one ``.tolist()`` per call.
+The regression target brings its own trajectory, with the gradient inlined
+into the step loop, from ``density.posterior_kernels``.
 
 HMC uses a leapfrog integrator with a fixed step count; the step size is
 adapted during warmup by the dual-averaging scheme of Hoffman & Gelman
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -264,7 +266,7 @@ def _kinetic(p) -> float:
     return 0.5 * total
 
 
-def _hmc_chain(log_prob, grad, cfg: SamplerConfig, init, constrain, stream):
+def _hmc_chain(log_prob, grad, trajectory, cfg: SamplerConfig, init, constrain, stream):
     rng = np.random.default_rng(stream)
     z, lp = _find_start(log_prob, init, rng)
     g = grad(z)
@@ -282,7 +284,7 @@ def _hmc_chain(log_prob, grad, cfg: SamplerConfig, init, constrain, stream):
         # length has on near-Gaussian targets
         eps_it = eps * (0.9 + 0.2 * rng.random())
         h0 = -lp + _kinetic(p0)
-        result = _leapfrog(z, p0, g, eps_it, cfg.hmc_leapfrog, grad)
+        result = trajectory(z, p0, g, eps_it, cfg.hmc_leapfrog)
         if result is None:
             delta = math.inf
         else:
@@ -352,9 +354,11 @@ def rwm_chains(
     return _run(lambda s: _rwm_chain(log_prob, cfg, init, constrain, s), cfg, param_names)
 
 
-def _hmc(log_prob, grad, cfg: SamplerConfig, init, param_names, constrain) -> Chains:
+def _hmc(log_prob, grad, trajectory, cfg: SamplerConfig, init, param_names, constrain) -> Chains:
     cfg = replace(cfg, algorithm="hmc")
-    return _run(lambda s: _hmc_chain(log_prob, grad, cfg, init, constrain, s), cfg, param_names)
+    return _run(
+        lambda s: _hmc_chain(log_prob, grad, trajectory, cfg, init, constrain, s), cfg, param_names
+    )
 
 
 def hmc_chains(
@@ -372,9 +376,11 @@ def hmc_chains(
     into the float list the integrator works on.
     """
     constrain = constrain if constrain is not None else lambda z: z
-    return _hmc(
-        log_prob, lambda z: grad_log_prob(z).tolist(), cfg, init, param_names, constrain
-    )
+
+    def grad(z):
+        return grad_log_prob(z).tolist()
+
+    return _hmc(log_prob, grad, partial(_leapfrog, grad=grad), cfg, init, param_names, constrain)
 
 
 def _prior_init(spec: ModelSpec):
@@ -402,7 +408,7 @@ def _constrain(z: Sequence[float]) -> tuple[float, float, float]:
 
 def sample_rwm(spec: ModelSpec, data: Dataset, cfg: SamplerConfig) -> Chains:
     """Sample the regression posterior by random-walk Metropolis."""
-    logp, _ = density.posterior_kernels(spec, data)
+    logp, _, _ = density.posterior_kernels(spec, data)
     return rwm_chains(
         logp, cfg, init=_prior_init(spec), param_names=_PARAM_NAMES, constrain=_constrain
     )
@@ -410,5 +416,5 @@ def sample_rwm(spec: ModelSpec, data: Dataset, cfg: SamplerConfig) -> Chains:
 
 def sample_hmc(spec: ModelSpec, data: Dataset, cfg: SamplerConfig) -> Chains:
     """Sample the regression posterior by Hamiltonian Monte Carlo."""
-    logp, grad = density.posterior_kernels(spec, data)
-    return _hmc(logp, grad, cfg, _prior_init(spec), _PARAM_NAMES, _constrain)
+    logp, grad, trajectory = density.posterior_kernels(spec, data)
+    return _hmc(logp, grad, trajectory, cfg, _prior_init(spec), _PARAM_NAMES, _constrain)

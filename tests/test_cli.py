@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import bayesline
 from bayesline.cli import run
 from bayesline.corpus import load_dataset_tsv
 from bayesline.inference import estimate_evidence
@@ -367,3 +372,17 @@ def test_counts_default_top_k():
 
     ns = build_parser().parse_args(["counts", "articles"])
     assert ns.top_k == 10
+
+
+def test_importing_the_cli_leaves_out_the_network_and_xml_modules():
+    """SVG escaping is the package's own: importing xml.sax.saxutils would
+    also import urllib.request, http.client and email at every start."""
+    src = str(Path(bayesline.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = (
+        "import sys, bayesline.cli; "
+        "print(sorted(m for m in ('urllib.request', 'http.client', 'xml.sax') if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from bayesline import sampler
 from bayesline.corpus import DataPoint, Dataset
 from bayesline.density import (
     LOG_TWO_PI,
@@ -400,7 +401,7 @@ def _kernel_states(data):
 @pytest.mark.parametrize("case", [1, 3, 1000, "equal_x"])
 def test_kernels_match_reference_functions_bit_for_bit(case, model_name):
     spec, data = KERNEL_MODELS[model_name], _oracle_dataset(case)
-    logp, grad = posterior_kernels(spec, data)
+    logp, grad, _ = posterior_kernels(spec, data)
     for z in _kernel_states(data):
         want = reference_density.log_posterior_unconstrained(z, spec, data)
         assert _bits(logp(z)) == _bits(want), z
@@ -432,7 +433,7 @@ def test_prior_densities_match_reference_functions_bit_for_bit():
 def test_kernel_states_reach_every_branch():
     """The states above hit the early returns and the HalfNormal support edge."""
     spec, data = KERNEL_MODELS["halfnormal_slope"], _oracle_dataset("equal_x")
-    logp, grad = posterior_kernels(spec, data)
+    logp, grad, _ = posterior_kernels(spec, data)
     values = [logp(z) for z in _kernel_states(data)]
     assert any(v == -math.inf for v in values)
     assert any(math.isnan(v) for v in values)
@@ -446,3 +447,57 @@ def test_kernels_require_data(model):
         posterior_kernels(model, Dataset(()))
     with pytest.raises(ValueError):
         grad_log_posterior_unconstrained(np.zeros(3), model, Dataset(()))
+
+
+# The fused trajectory against the generic integrator, sampler._leapfrog, driven
+# by the verbatim reference gradient: same steps, same bits, None at the same time.
+def _same_trajectory(got, want):
+    if want is None:
+        return got is None
+    return got is not None and all(
+        type(g) is list and [_bits(v) for v in g] == [_bits(v) for v in w]
+        for g, w in zip(got, want)
+    )
+
+
+@pytest.mark.parametrize("model_name", list(KERNEL_MODELS))
+@pytest.mark.parametrize("case", [1, 3, 1000, "equal_x"])
+def test_trajectory_matches_generic_leapfrog_bit_for_bit(case, model_name):
+    spec, data = KERNEL_MODELS[model_name], _oracle_dataset(case)
+    _, _, trajectory = posterior_kernels(spec, data)
+
+    def ref_grad(z):
+        return reference_density.grad_log_posterior_unconstrained(z, spec, data).tolist()
+
+    rng = np.random.default_rng(17)
+    ended = finished = 0
+    for z in _kernel_states(data):
+        g = ref_grad(z)
+        for eps in (1e-6, 0.05, 0.3, 2.0):
+            for n in (0, 1, 2, 20):
+                p = rng.standard_normal(3).tolist()
+                want = sampler._leapfrog(z, p, g, eps, n, ref_grad)
+                assert _same_trajectory(trajectory(z, p, g, eps, n), want), (z, p, eps, n)
+                ended += want is None
+                finished += want is not None
+    assert ended and finished
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        [3.0, -2.0, 0.5],
+        [1e308, 1e308, -1e308],
+        [0.0, -math.inf, 0.0],  # b reaches 0, where the gradient is finite again
+        [1.0, math.inf, 0.0],
+        [0.0, 1.0, math.nan],
+    ],
+)
+def test_trajectory_matches_generic_leapfrog_on_extreme_gradients(g, model, words3):
+    """An entry that is not finite ends the trajectory at the next step, even
+    where the states it leads to have a finite gradient."""
+    _, grad, trajectory = posterior_kernels(model, words3)
+    z, p = [0.1, -0.2, 0.3], [0.5, 1.5, -1.0]
+    for n in (0, 1, 4):
+        want = sampler._leapfrog(z, p, g, 0.3, n, grad)
+        assert _same_trajectory(trajectory(z, p, g, 0.3, n), want), n

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bayesline import export
 from bayesline.export import (
@@ -443,3 +445,10 @@ def test_svg_path_sink_equals_handle_sink(words3, chains16k, tmp_path):
         render(*args, buf)
         render(*args, tmp_path / "fig.svg")
         assert (tmp_path / "fig.svg").read_bytes() == buf.getvalue().encode("utf-8")
+
+
+@given(st.text())
+def test_escape_equals_saxutils_escape(text):
+    from xml.sax.saxutils import escape
+
+    assert export._escape(text) == escape(text)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from bayesline.modelspec import (
     NoisePriorError,
     NonPositiveScaleError,
     UnknownDistributionError,
+    _SCALE_RANGE,
     default_model,
     format_model_spec,
     parse_model_spec,
@@ -81,6 +84,23 @@ def test_scale_range_edges():
             DistributionSpec.normal(0.0, scale)
         with pytest.raises(ValueError):
             DistributionSpec.half_normal(scale)
+
+
+def test_stated_scale_bounds_are_accepted_and_just_past_them_rejected():
+    """The bounds the error message states hold: both are accepted, and a
+    scale just outside either is rejected with that message."""
+    low, high = map(float, re.search(r"\[(\S+), (\S+)\]", _SCALE_RANGE).groups())
+    assert (low, high) == (1.5e-154, 9.48e153)
+    for scale in (low, high):
+        assert DistributionSpec.half_normal(scale).scale == scale
+        text = PAPER_TEXT.replace("Normal(0, 1)", f"Normal(0, {scale!r})")
+        assert parse_model_spec(text).slope_prior.scale == scale
+    for scale in (1.49e-154, 9.49e153):
+        with pytest.raises(ValueError, match=re.escape(_SCALE_RANGE)):
+            DistributionSpec.normal(0.0, scale)
+        text = PAPER_TEXT.replace("HalfNormal(1)", f"HalfNormal({scale!r})")
+        with pytest.raises(NonPositiveScaleError, match=re.escape(_SCALE_RANGE)):
+            parse_model_spec(text)
 
 
 def test_sigma_normal_prior_is_rejected():

@@ -428,3 +428,31 @@ def test_hmc_reuses_the_gradient_at_the_current_state():
     chains = hmc_chains(log_prob, counted_grad, cfg, init=std_normal_init, param_names=("mu",))
     assert 0.0 < chains.accept_rates[0] < 1.0
     assert calls == (cfg.n_warmup + cfg.n_draws) * cfg.hmc_leapfrog + 1
+
+
+def test_sample_hmc_evaluates_grad_only_at_chain_starts(words3, model, monkeypatch):
+    """The regression target's trajectory computes its gradients inline, so
+    ``grad`` runs once per chain start and ``trajectory`` once per iteration."""
+    calls = {"grad": 0, "trajectory": 0}
+    kernels = sampler.density.posterior_kernels
+
+    def counted_kernels(spec, data):
+        logp, grad, trajectory = kernels(spec, data)
+
+        def counted_grad(z):
+            calls["grad"] += 1
+            return grad(z)
+
+        def counted_trajectory(*args):
+            calls["trajectory"] += 1
+            return trajectory(*args)
+
+        return logp, counted_grad, counted_trajectory
+
+    cfg = SamplerConfig(n_chains=3, n_draws=200, n_warmup=100, seed=6)
+    plain = sample_hmc(model, words3, cfg)
+    monkeypatch.setattr(sampler.density, "posterior_kernels", counted_kernels)
+    counted = sample_hmc(model, words3, cfg)
+    assert np.array_equal(counted.draws, plain.draws)
+    n_iter = cfg.n_warmup + cfg.n_draws
+    assert calls == {"grad": cfg.n_chains, "trajectory": cfg.n_chains * n_iter}
